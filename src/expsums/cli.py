@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Iterable
 
@@ -29,6 +30,18 @@ from .exact import format_rational
 def _cap(value: int, cap: int, flag: str):
     if value > cap:
         raise SizeLimitError(f"{flag}={value} exceeds the supported cap {cap}; lower {flag}")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a positive, finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _fmt_float(x: float) -> str:
@@ -291,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = vp.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--float", action="store_true", default=False)
-    vp.add_argument("--tol", type=float, default=1e-8)
+    vp.add_argument("--tol", type=_tolerance, default=1e-8)
     vp.add_argument("--json", action="store_true")
     vp.set_defaults(func=_cmd_verify_prop1)
 
@@ -309,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     va = vsub.add_parser("alkan", help="L-series vs Gauss-sum moment magnitudes")
     va.add_argument("--k", type=int, required=True)
     va.add_argument("--r", type=int, required=True)
-    va.add_argument("--tol", type=float, default=1e-5)
+    va.add_argument("--tol", type=_tolerance, default=1e-5)
     va.add_argument("--include-imprimitive", action="store_true")
     va.add_argument("--json", action="store_true")
     va.set_defaults(func=_cmd_verify_alkan)

@@ -13,6 +13,14 @@ together with the periodicity-only reflection
 (checked mod x^k - 1 for every frequency m including 0), and the signed
 binomial chain sums that collapse the recursive expansion of the reflection
 into the single binomial coefficient in front of each k^a g(p-a).
+
+Both exact checks run on one kernel, ``_add_exponent_vector``, which adds
+c * sum_s s^p x^(e*s mod k) to an integer vector in Z[x]/(x^k - 1).  Each
+identity is linear in the sums, so a residual is accumulated as one such
+vector and, for prop1, reduced mod Phi_k once.  That equals reducing every
+term and adding the residues, because reduction Z[x]/(x^k - 1) ->
+Q[x]/Phi_k is a ring homomorphism and a reduced residue is canonical; the
+zero test is therefore unchanged.
 """
 
 from __future__ import annotations
@@ -60,15 +68,22 @@ def exp_power_sum_complex(q: ExpSumQuery) -> complex:
     return total
 
 
+def _add_exponent_vector(vec: list[int], c: int, p: int, e: int) -> None:
+    """Add c * sum_{s=1}^{k-1} s^p x^(e*s mod k) to vec, the coefficient
+    vector of an element of Z[x]/(x^k - 1) with k = len(vec)."""
+    k = len(vec)
+    for s in range(1, k):
+        vec[(e * s) % k] += c * s**p
+
+
 def exp_power_sum_cyclo(q: ExpSumQuery) -> CyclotomicElement:
     """The exact image of the sum in Q[x]/Phi_k under zeta -> x.
 
     Each term s^p zeta^(sign*m*s) becomes s^p x^((sign*m*s) mod k); the
-    accumulated exponent vector is reduced mod Phi_k once.
+    exponent vector in Z[x]/(x^k - 1) is reduced mod Phi_k once.
     """
     vec = [0] * q.k
-    for s in range(1, q.k):
-        vec[(q.sign * q.m * s) % q.k] += s**q.p
+    _add_exponent_vector(vec, 1, q.p, q.sign * q.m)
     return CyclotomicElement(q.k, Polynomial(vec))
 
 
@@ -88,16 +103,20 @@ def _require_nondivisible(p: int, k: int, m: int) -> int:
 def prop1_residual_cyclo(p: int, k: int, m: int) -> CyclotomicElement:
     """f(p) minus its positive-frequency expansion, exactly in Q[x]/Phi_k.
 
-    Zero residue for every k that does not divide m; k | m is rejected (there
-    g(0) = k - 1 instead of -1 and the identity breaks).
+    The residual f(p) + k^p - sum_a (-1)^(p-a) C(p, a) k^a g(p-a) is
+    accumulated as one integer vector in Z[x]/(x^k - 1) and reduced mod
+    Phi_k once; since reduction is a ring homomorphism onto canonical
+    residues, the result equals the sum of the reduced terms.  Zero residue
+    for every k that does not divide m; k | m is rejected (there g(0) = k - 1
+    instead of -1 and the identity breaks).
     """
     mm = _require_nondivisible(p, k, m)
-    lhs = exp_power_sum_cyclo(ExpSumQuery(p, k, mm, -1))
-    rhs = CyclotomicElement(k, -(k**p))
+    res = [0] * k
+    res[0] = k**p
+    _add_exponent_vector(res, 1, p, -mm)
     for a in range(p):
-        g = exp_power_sum_cyclo(ExpSumQuery(p - a, k, mm, +1))
-        rhs = rhs + g * ((-1) ** (p - a) * binomial(p, a) * k**a)
-    return lhs - rhs
+        _add_exponent_vector(res, -(-1) ** (p - a) * binomial(p, a) * k**a, p - a, mm)
+    return CyclotomicElement(k, Polynomial(res))
 
 
 class FloatResidual(NamedTuple):
@@ -152,30 +171,15 @@ def eq3_residual_poly(p: int, k: int) -> Polynomial:
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if k < 2:
         raise ValueError(f"modulus k must be >= 2, got {k}")
-    spow = [[s**j for s in range(k)] for j in range(p + 1)]
     worst = [0] * k
     worst_norm = -1
     for m in range(k):
-        def fvec(j: int) -> list[int]:
-            v = [0] * k
-            row = spow[j]
-            for s in range(1, k):
-                v[(-m * s) % k] += row[s]
-            return v
-
-        res = fvec(p)
-        gp = [0] * k
-        row = spow[p]
-        for s in range(1, k):
-            gp[(m * s) % k] += row[s]
-        sign_p = (-1) ** p
-        for i in range(k):
-            res[i] -= sign_p * gp[i]
+        # f(p) - (-1)^p g(p) - sum_a (-1)^(p+a+1) C(p, a) k^(p-a) f(a)
+        res = [0] * k
+        _add_exponent_vector(res, 1, p, -m)
+        _add_exponent_vector(res, -(-1) ** p, p, m)
         for a in range(p):
-            c = (-1) ** (p + a + 1) * binomial(p, a) * k ** (p - a)
-            fa = fvec(a)
-            for i in range(k):
-                res[i] -= c * fa[i]
+            _add_exponent_vector(res, (-1) ** (p + a) * binomial(p, a) * k ** (p - a), a, -m)
         norm = max(abs(c) for c in res)
         if norm > worst_norm:
             worst_norm = norm
@@ -225,16 +229,22 @@ class SweepResult:
 
 def run_prop1_exact(pmax: int, kmax: int, m_span: int = 3) -> SweepResult:
     """Exact sweep: residual must be the zero residue for all 1 <= p <= pmax,
-    2 <= k <= kmax, 1 <= m <= m_span*k with k not dividing m."""
+    2 <= k <= kmax, 1 <= m <= m_span*k with k not dividing m.
+
+    The residual depends on m only through m mod k, so each class is
+    evaluated once per (p, k) and every m in the range is counted (and, on
+    failure, recorded) against its class's residue.
+    """
     cases = 0
     failures = []
     for p in range(1, pmax + 1):
         for k in range(2, kmax + 1):
+            by_class = [None] + [prop1_residual_cyclo(p, k, mm) for mm in range(1, k)]
             for m in range(1, m_span * k + 1):
                 if m % k == 0:
                     continue
                 cases += 1
-                res = prop1_residual_cyclo(p, k, m)
+                res = by_class[m % k]
                 if not res.is_zero:
                     failures.append(
                         {

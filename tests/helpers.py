@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+
+import expsums
+from expsums import CyclotomicElement, Polynomial
 
 
 def pascal_binomial(n: int, r: int) -> int:
@@ -74,11 +79,44 @@ def l_reference(r: int, chi, N: int) -> complex:
     return total
 
 
+def prop1_residual_termwise(p: int, k: int, m: int, binom=math.comb) -> CyclotomicElement:
+    """The prop1 residual f(p) - (-k^p + sum_a (-1)^(p-a) C(p, a) k^a g(p-a))
+    built term by term: one CyclotomicElement per sum, combined with
+    CyclotomicElement arithmetic, so every term is reduced mod Phi_k on its
+    own.  ``binom`` lets a test apply the same perturbation as to the
+    package."""
+
+    def cyclo_sum(j: int, e: int) -> CyclotomicElement:
+        vec = [0] * k
+        for s in range(1, k):
+            vec[(e * s) % k] += s**j
+        return CyclotomicElement(k, Polynomial(vec))
+
+    mm = m % k
+    rhs = CyclotomicElement(k, -(k**p))
+    for a in range(p):
+        rhs = rhs + cyclo_sum(p - a, mm) * ((-1) ** (p - a) * binom(p, a) * k**a)
+    return cyclo_sum(p, -mm) - rhs
+
+
+# Perturbed binomials for mutation tests: each breaks the identities checked
+# in expsums.exp_sums when patched over its ``binomial``.
+PERTURBED_BINOMIALS = {
+    "drop-a0-term": lambda n, r: 0 if r == 0 else math.comb(n, r),
+    "flip-r1-sign": lambda n, r: -math.comb(n, r) if r == 1 else math.comb(n, r),
+}
+
+
 def run_cli(args: list[str]) -> tuple[int, bytes, bytes]:
-    """Run the CLI in a fresh interpreter; returns (exit, stdout, stderr)."""
+    """Run the CLI in a fresh interpreter on the same package the tests
+    import; returns (exit, stdout, stderr)."""
+    env = dict(os.environ)
+    src = str(Path(expsums.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "expsums", *args],
         capture_output=True,
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from expsums import exp_sums
 from expsums.cli import emit_report, main
-from helpers import CLI_CASES
+from helpers import CLI_CASES, PERTURBED_BINOMIALS
 
 
 def run(capsys, *args):
@@ -174,6 +175,32 @@ class TestVerify:
                              "--kmax", "8")
         assert status == 2
         assert "--pmax" in err
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["verify", "prop1", "--pmax", "2", "--kmax", "4", "--float"],
+        ["verify", "alkan", "--k", "5", "--r", "2"],
+    ], ids=["prop1", "alkan"])
+    def test_rejects_non_positive_or_non_finite(self, capsys, command, value):
+        status, out, err = run(capsys, *command, "--tol", value)
+        assert status == 2
+        assert out == ""
+        assert "argument --tol: must be a positive finite number" in err
+
+
+class TestGatesCanFail:
+    @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
+    @pytest.mark.parametrize("command", [
+        ["verify", "prop1", "--pmax", "4", "--kmax", "8", "--exact"],
+        ["verify", "eq3", "--pmax", "4", "--kmax", "8"],
+    ], ids=["prop1", "eq3"])
+    def test_perturbed_identity_fails(self, capsys, monkeypatch, command, perturbation):
+        monkeypatch.setattr(exp_sums, "binomial", PERTURBED_BINOMIALS[perturbation])
+        status, out, _ = run(capsys, *command)
+        assert status == 1
+        assert out.startswith("FAIL (")
 
 
 class TestEmitReport:

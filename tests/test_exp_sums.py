@@ -2,6 +2,7 @@ import cmath
 
 import pytest
 
+from expsums import exp_sums
 from expsums import (
     ExpSumQuery,
     Polynomial,
@@ -20,6 +21,7 @@ from expsums import (
     run_prop1_exact,
     run_prop1_float,
 )
+from helpers import PERTURBED_BINOMIALS, prop1_residual_termwise
 
 
 class TestQuery:
@@ -191,3 +193,61 @@ class TestSweeps:
     def test_coefficient_sweep_passes(self):
         sweep = run_coefficient_check(8)
         assert sweep.ok
+
+
+def _prop1_grid(pmax, kmax):
+    for p in range(1, pmax + 1):
+        for k in range(2, kmax + 1):
+            for m in range(1, 2 * k + 1):
+                if m % k:
+                    yield p, k, m
+
+
+class TestProp1TermwiseReference:
+    def test_equals_termwise_reference(self):
+        for p, k, m in _prop1_grid(5, 10):
+            got = prop1_residual_cyclo(p, k, m)
+            want = prop1_residual_termwise(p, k, m)
+            assert got == want and got.residue.coeffs == want.residue.coeffs, (p, k, m)
+
+    @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
+    def test_equals_termwise_reference_when_perturbed(self, monkeypatch, perturbation):
+        binom = PERTURBED_BINOMIALS[perturbation]
+        monkeypatch.setattr(exp_sums, "binomial", binom)
+        nonzero = 0
+        for p, k, m in _prop1_grid(5, 10):
+            got = prop1_residual_cyclo(p, k, m)
+            want = prop1_residual_termwise(p, k, m, binom)
+            assert got == want, (p, k, m)
+            assert str(got.residue) == str(want.residue), (p, k, m)
+            nonzero += not got.is_zero
+        assert nonzero > 0
+
+
+class TestGatesCanFail:
+    @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
+    def test_prop1_exact_reports_failures(self, monkeypatch, perturbation):
+        binom = PERTURBED_BINOMIALS[perturbation]
+        monkeypatch.setattr(exp_sums, "binomial", binom)
+        sweep = run_prop1_exact(4, 8)
+        expected = []
+        for p in range(1, 5):
+            for k in range(2, 9):
+                for m in range(1, 3 * k + 1):
+                    want = prop1_residual_termwise(p, k, m, binom) if m % k else None
+                    if want is not None and not want.is_zero:
+                        expected.append({"case": f"p={p} k={k} m={m}", "status": "FAIL",
+                                         "detail": f"nonzero residue {want.residue}"})
+        assert sweep.cases == 336
+        assert expected and sweep.failures == tuple(expected)
+        if perturbation == "drop-a0-term":
+            assert len(sweep.failures) == sweep.cases
+
+    @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
+    def test_eq3_reports_failures(self, monkeypatch, perturbation):
+        monkeypatch.setattr(exp_sums, "binomial", PERTURBED_BINOMIALS[perturbation])
+        sweep = run_eq3(4, 8)
+        assert not sweep.ok
+        if perturbation == "drop-a0-term":
+            assert len(sweep.failures) == 4 * 7
+        assert all(r["detail"].startswith("nonzero residual ") for r in sweep.failures)
