@@ -249,11 +249,14 @@ def _cmd_verify_alkan(args) -> int:
     n_skip = sum(1 for rep in reports if rep.status == "SKIPPED")
     checked = len(reports) - n_skip
     for rep in reports:
-        if rep.status == "SKIPPED":
-            print(f"chi_{rep.chi_index}: SKIPPED ({rep.reason})")
-        else:
-            print(f"chi_{rep.chi_index}: {rep.status} ratio={_fmt_float(rep.ratio)} "
-                  f"sign={rep.sign_observed:+d}")
+        if rep.ratio is None:
+            print(f"chi_{rep.chi_index}: {rep.status} ({rep.reason})")
+            continue
+        line = (f"chi_{rep.chi_index}: {rep.status} ratio={_fmt_float(rep.ratio)} "
+                f"sign={rep.sign_observed:+d}")
+        if rep.status == "FAIL" and rep.reason:
+            line += f" ({rep.reason})"
+        print(line)
     skip_note = f", {n_skip} skipped" if n_skip else ""
     if n_fail:
         print(f"FAIL ({n_fail} of {checked} characters failed{skip_note})")

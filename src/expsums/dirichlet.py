@@ -1,35 +1,39 @@
 """Desk-scale numerics: Dirichlet characters mod k, Gauss sums, the power
-moments S(m, chi) = sum_{j=1}^{k} (j/k)^m G(j, chi), truncated L(r, chi), and
-a magnitude check of the identity tying L(r, chi) to Bernoulli-weighted
+moments S(m, chi) = sum_{j=1}^{k} (j/k)^m G(j, chi), L(r, chi), and a
+magnitude check of the identity tying L(r, chi) to Bernoulli-weighted
 moments of Gauss sums.
 
 Characters are stored as explicit value tables (complex doubles, zero off the
 units); the unit group is decomposed into cyclic components so enumeration is
-deterministic.  Exactness lives elsewhere in the package; this module is
-double precision by design, with rigorous truncation-error bounds where
-series are cut.
+deterministic.  Every root of unity is read from one table per order n,
+``cmath.rect(1, 2 pi t/n)``: a character value at the integer phase
+t mod lcm(component orders), a Gauss-sum root at t = m*j mod k.  L(r, chi)
+is summed by Euler-Maclaurin per residue class mod k, with weights from
+``bernoulli_oracle``.  Exactness lives elsewhere in the package; this module
+is double precision by design, with rigorous remainder bounds where series
+are cut and first-order bounds on rounding.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import math
 import types
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .bernoulli import bernoulli_oracle
-from .errors import ConsistencyError, DivergenceError, SizeLimitError
+from .errors import ConsistencyError, DivergenceError
 from .exact import binomial
 
-# Hard ceiling on summed terms; partial sums cannot certify tighter targets
-# in reasonable time, so tighter requests are rejected rather than attempted.
-_MAX_TRUNCATION_TERMS = 2**33
+# Unit roundoff of IEEE double precision.
+_U = 2.0**-53
+# Error of one table root, in units of _U: its angle 2 pi (t/n) carries three
+# roundings of a value below 2 pi (at most 19 _U), cos and sin one ulp each.
+_ROOT_ERR = 24
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -161,39 +165,40 @@ class DirichletCharacter:
         return self.parity == "odd"
 
 
-def _phase(structure: UnitGroupStructure, exponents: tuple[int, ...], unit: int) -> Fraction:
-    v = structure.dlog[unit]
-    total = Fraction(0)
-    for t, vv, o in zip(exponents, v, structure.orders):
-        total += Fraction(t * vv, o)
-    return total % 1
-
-
-def _conductor(structure: UnitGroupStructure, exponents: tuple[int, ...]) -> int:
-    k = structure.modulus
-    for d in range(1, k + 1):
-        if k % d:
-            continue
-        if all(_phase(structure, exponents, u) == 0
-               for u in structure.dlog if u % d == 1 % d):
-            return d
-    return k
+@lru_cache(maxsize=64)
+def _roots(n: int) -> tuple[complex, ...]:
+    """The n-th roots of unity e^(2 pi i t/n), t = 0..n-1."""
+    return tuple(cmath.rect(1.0, 2.0 * math.pi * (t / n)) for t in range(n))
 
 
 def enumerate_characters(k: int) -> list[DirichletCharacter]:
     """All characters mod k, ordered by generator exponent tuple (principal
-    first); the count equals the number of units."""
+    first); the count equals the number of units.
+
+    With L = lcm(orders), the character with exponents t sends the unit with
+    discrete logs v to e^(2 pi i n/L), n = sum_i t_i v_i L/o_i mod L.  Its
+    conductor is the least d | k such that every unit u = 1 mod d has n = 0.
+    """
     st = unit_group_structure(k)
-    chars = []
+    order_lcm = math.lcm(*st.orders)
+    roots = _roots(order_lcm)
+    scales = [order_lcm // o for o in st.orders]
+    kernels = [(d, [u for u in st.dlog if u % d == 1 % d])
+               for d in range(1, k + 1) if k % d == 0]
     minus_one = (k - 1) % k
+    chars = []
     for index, exps in enumerate(itertools.product(*(range(o) for o in st.orders))):
+        weights = [t * s for t, s in zip(exps, scales)]
+        phase = {u: sum(w * v for w, v in zip(weights, logs)) % order_lcm
+                 for u, logs in st.dlog.items()}
+        parity_phase = phase[minus_one]
+        if 2 * parity_phase % order_lcm:
+            raise ConsistencyError(f"character value at -1 is not a square root of 1: "
+                                   f"phase {parity_phase}/{order_lcm}")
+        conductor = next(d for d, kernel in kernels if not any(phase[u] for u in kernel))
         values = [0j] * k
-        for u in st.dlog:
-            values[u] = cmath.rect(1.0, 2.0 * math.pi * float(_phase(st, exps, u)))
-        parity_phase = _phase(st, exps, minus_one)
-        if parity_phase not in (Fraction(0), Fraction(1, 2)):
-            raise ConsistencyError(f"character value at -1 is not a square root of 1: {parity_phase}")
-        conductor = _conductor(st, exps)
+        for u, n in phase.items():
+            values[u] = roots[n]
         chars.append(
             DirichletCharacter(
                 modulus=k,
@@ -210,14 +215,18 @@ def enumerate_characters(k: int) -> list[DirichletCharacter]:
 
 
 def gauss_sum(j: int, chi: DirichletCharacter) -> complex:
-    """G(j, chi) = sum_{m=1}^{k} chi(m) e^(2 pi i m j / k)."""
+    """G(j, chi) = sum_{m=1}^{k} chi(m) e^(2 pi i m j / k), each root read
+    from the table of k-th roots of unity at m j mod k."""
     k = chi.modulus
-    total = 0j
-    for m in range(1, k + 1):
-        v = chi.values[m % k]
-        if v != 0:
-            total += v * cmath.exp(2j * math.pi * m * j / k)
-    return total
+    roots = _roots(k)
+    return sum((v * roots[m * j % k] for m, v in enumerate(chi.values) if v != 0), 0j)
+
+
+@lru_cache(maxsize=1)
+def _gauss_sums(chi: DirichletCharacter) -> tuple[complex, ...]:
+    # G(j, chi) for j = 1..k, kept for the last character asked about so that
+    # its moments share one table.
+    return tuple(gauss_sum(j, chi) for j in range(1, chi.modulus + 1))
 
 
 def s_sum(m: int, chi: DirichletCharacter) -> complex:
@@ -226,82 +235,114 @@ def s_sum(m: int, chi: DirichletCharacter) -> complex:
         raise ValueError(f"moment m must be >= 0, got {m}")
     k = chi.modulus
     total = 0j
-    for j in range(1, k + 1):
-        total += (j / k) ** m * gauss_sum(j, chi)
+    for j, g in enumerate(_gauss_sums(chi), 1):
+        total += (j / k) ** m * g
     return total
 
 
 @dataclass(frozen=True)
 class LSeriesValue:
-    """A truncated L(r, chi) with a rigorous bound on the dropped tail."""
+    """L(r, chi) with a rigorous bound on the Euler-Maclaurin remainder and a
+    first-order bound on the rounding error; every n <= truncation_N was
+    summed directly."""
 
     r: int
     value: complex
     truncation_N: int
     tail_bound: float
+    rounding_bound: float
 
 
-def _class_sum(a: int, N: int, k: int, r: int) -> float:
-    # sum of n^(-r) over n = a mod k, 1 <= n <= N, in numpy blocks.
-    start = a if a >= 1 else k
-    if start > N:
-        return 0.0
-    count = (N - start) // k + 1
-    total = 0.0
-    block = 1 << 21
-    for j0 in range(0, count, block):
-        ns = start + k * np.arange(j0, min(j0 + block, count), dtype=np.float64)
-        total += float(np.sum(1.0 / ns)) if r == 1 else float(np.sum(ns ** float(-r)))
-    return total
+@lru_cache(maxsize=None)
+def _bernoulli_weight(j: int) -> float:
+    # B_2j / (2j)!, rounded once from the exact rational.
+    return float(bernoulli_oracle(2 * j) / math.factorial(2 * j))
+
+
+def _remainder_bound(r: int, X: int, k: int, M: int) -> float:
+    """Bound on the remainder of one residue class after M correction terms,
+    scaled as in ``l_value``; X = a + N k is the first n not summed
+    directly, at y = X / k."""
+    y = X / k
+    if r == 1:
+        # Digamma at real y > 0: the first omitted term,
+        # |B_(2M+2)| / ((2M+2) y^(2M+2)) / k = |B_(2M+2)/(2M+2)!| (2M+1)! / (X y^(2M+1)).
+        bound = abs(_bernoulli_weight(M + 1)) / X
+        for i in range(1, 2 * M + 2):
+            bound *= i / y
+        return bound
+    # Hurwitz zeta (Johansson, arXiv:1309.2877, Theorem 1):
+    # 4 (r)_2M / (2 pi)^2M * y^(1-r-2M) / (r+2M-1), times k^-r = y^r / X^r.
+    bound = 4.0 * y / (r + 2 * M - 1) * (1 / X**r)
+    for i in range(2 * M):
+        bound *= (r + i) / (2.0 * math.pi * y)
+    return bound
 
 
 def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
-    """Partial sum of sum_{n>=1} chi(n)/n^r cut so the tail bound meets
-    target_tol.
+    """L(r, chi) = sum_{n>=1} chi(n)/n^r by Euler-Maclaurin summation over
+    the residue classes a = 1..k:
 
-    For r >= 2 the tail is bounded by the integral comparison
-    N^(1-r)/(r-1).  For r = 1 the sum runs over complete blocks of k (block
-    sums of a non-principal character vanish) and partial summation bounds
-    the tail by k * max_partial / N, where max_partial is the largest prefix
-    magnitude of the character over one period.
+        L(r, chi) = k^-r sum_a chi(a) zeta(r, a/k)       (r >= 2),
+        L(1, chi) = -(1/k) sum_a chi(a) psi(a/k)          (chi non-principal).
+
+    Each class sums its first N terms 1/(a + t k)^r directly and adds M = N
+    correction terms B_2j/(2j)! (r)_(2j-1) y^(-r-2j+1) k^-r at y = a/k + N,
+    after the integral term: y^(1-r) k^-r/(r-1), or for r = 1 -log(y)/k, taken
+    as -log1p(a/(N k))/k because the common log N cancels against
+    sum_a chi(a) = 0.  The weights come from ``bernoulli_oracle``.
+
+    tail_bound sums the remainder bounds of the classes weighted by |chi(a)|:
+    Johansson's bound for Hurwitz zeta, and for digamma (real positive
+    argument) the first omitted term.  N is the least for which the bound
+    of the first class times sum_a |chi(a)|, which dominates tail_bound, is
+    <= target_tol; truncation_N = N k: every n <= N k is summed directly.
+    rounding_bound bounds the floating error to first order in the unit
+    roundoff, from the magnitudes of the summed terms.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if target_tol <= 0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
     k = chi.modulus
-    if r == 1:
-        if chi.principal:
-            raise DivergenceError("L(1, chi) diverges for the principal character")
-        prefix = 0j
-        max_partial = 0.0
-        for t in range(1, k):
-            prefix += chi.values[t]
-            max_partial = max(max_partial, abs(prefix))
-        max_partial = max(max_partial, 1.0)
-        blocks = max(1, math.ceil(max_partial / target_tol))
-        N = blocks * k
-        tail_bound = k * max_partial / N
-    else:
-        N = max(k, math.ceil(((r - 1) * target_tol) ** (-1.0 / (r - 1))))
-        tail_bound = float(N) ** (1 - r) / (r - 1)
-    if N > _MAX_TRUNCATION_TERMS:
-        raise SizeLimitError(
-            f"target_tol={target_tol:g} needs {N} terms "
-            f"(limit {_MAX_TRUNCATION_TERMS}); relax target_tol"
-        )
+    if r == 1 and chi.principal:
+        raise DivergenceError("L(1, chi) diverges for the principal character")
+    classes = [(a, chi.values[a % k]) for a in range(1, k + 1) if chi.values[a % k] != 0]
+    # The bound falls as a grows, so the first class bounds every other one.
+    weight = sum(abs(v) for _, v in classes)
+    N = 1
+    while weight * _remainder_bound(r, classes[0][0] + N * k, k, N) > target_tol:
+        N += 1
+    tail_bound = sum(abs(v) * _remainder_bound(r, a + N * k, k, N) for a, v in classes)
+    weights = [_bernoulli_weight(j) for j in range(1, N + 1)]
     value = 0j
-    for a in range(k):
-        v = chi.values[a]
-        if v != 0:
-            value += v * _class_sum(a, N, k, r)
-    return LSeriesValue(r, value, N, tail_bound)
+    scale = 0.0
+    for a, v in classes:
+        X = a + N * k
+        y = X / k
+        direct = 0.0
+        for n in range(a, X, k):
+            direct += 1 / n**r
+        x_r = 1 / X**r
+        terms = [-math.log1p(a / (N * k)) / k if r == 1 else x_r * y / (r - 1), 0.5 * x_r]
+        rising = r / y  # (r)_(2j-1) y^(1-2j)
+        for j, w in enumerate(weights, 1):
+            terms.append(w * rising * x_r)
+            rising *= (r + 2 * j - 1) * (r + 2 * j) / (y * y)
+        value += v * (direct + sum(terms))
+        scale += abs(v) * (direct + sum(abs(t) for t in terms))
+    # Per class the direct sum and the N + 2 corrections (at most 5N + 4
+    # roundings each) are off by at most (6N + 6) _U of their magnitudes;
+    # chi(a) and its product add _ROOT_ERR + 1, the sum one per class.
+    rounding_bound = (6 * N + 7 + _ROOT_ERR + len(classes)) * _U * scale
+    return LSeriesValue(r, value, N * k, tail_bound, rounding_bound)
 
 
 @dataclass(frozen=True)
 class AlkanReport:
     """Magnitude comparison of k r! / (2^(r-1) pi^r) |L(r, chi)| against
-    |sum_q C(r, q) B_q S(r-q, chi)|; the sign is recorded, never asserted."""
+    |sum_q C(r, q) B_q S(r-q, chi)|; the sign is recorded, never asserted.
+    ``error_bound`` is the relative error E the check can certify."""
 
     modulus: int
     r: int
@@ -312,6 +353,7 @@ class AlkanReport:
     sign_observed: Optional[int]
     status: str
     reason: str = ""
+    error_bound: Optional[float] = None
 
 
 def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
@@ -320,9 +362,13 @@ def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
     Requires a non-principal character whose parity matches r (a mismatch is
     reported as SKIPPED, not an error) and small r.  The observed sign is the
     real sign of the full complex ratio with the i^r prefactor included.
-    The internal L-series target is floored at 1e-8 absolute, the practical
-    limit of the truncation method; a tighter tol therefore fails honestly
-    rather than stalling.
+
+    L(r, chi) is summed to a tail below the unit roundoff, whatever tol is.
+    The ratio carries a stated error bound E (``error_bound``): the relative
+    L error (tail_bound + rounding_bound) / |L| plus a first-order rounding
+    allowance for the Gauss-sum side, the prefactor and the quotient.  A tol
+    below E is reported as FAIL with that reason, whatever the ratio, because
+    double precision cannot certify it.
     """
     if not 1 <= r <= 4:
         raise ValueError(f"the check is desk-scale only, need 1 <= r <= 4, got {r}")
@@ -333,24 +379,41 @@ def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
     if chi.parity != ("odd" if r % 2 else "even"):
         return AlkanReport(chi.modulus, r, chi.index, None, None, None, None,
                            "SKIPPED", "parity mismatch")
+    k = chi.modulus
+    units = sum(1 for v in chi.values if v != 0)
     rhs = 0j
+    rhs_weight = 0.0
     for q in range(2 * (r // 2) + 1):
         b = bernoulli_oracle(q)
         if b != 0:
-            rhs += binomial(r, q) * float(b) * s_sum(r - q, chi)
-    lvalue = l_value(r, chi, target_tol=max(tol / 20, 1e-8)).value
-    prefactor = chi.modulus * math.factorial(r) / (2 ** (r - 1) * math.pi**r)
-    lhs_magnitude = prefactor * abs(lvalue)
+            c = binomial(r, q) * float(b)
+            rhs += c * s_sum(r - q, chi)
+            rhs_weight += abs(c)
+    # With |G(j)| <= units and (j/k)^m <= 1: each G(j) is off by at most
+    # units (units + 2 _ROOT_ERR + 3) _U, S(m) by k units (units + k + m +
+    # 2 _ROOT_ERR + 5) _U, and the weighted sum adds 5 _U per term.
+    rhs_error = rhs_weight * k * units * (units + k + r + 2 * _ROOT_ERR + 10) * _U
+    lv = l_value(r, chi, target_tol=_U)
+    prefactor = k * math.factorial(r) / (2 ** (r - 1) * math.pi**r)
+    lhs_magnitude = prefactor * abs(lv.value)
     rhs_magnitude = abs(rhs)
     if rhs_magnitude == 0.0:
-        return AlkanReport(chi.modulus, r, chi.index, lhs_magnitude, 0.0, None, None,
+        return AlkanReport(k, r, chi.index, lhs_magnitude, 0.0, None, None,
                            "FAIL", "zero right-hand side")
     ratio = lhs_magnitude / rhs_magnitude
-    signed = prefactor / (1j**r) * lvalue / rhs
+    signed = prefactor / (1j**r) * lv.value / rhs
     sign_observed = 1 if signed.real > 0.5 else (-1 if signed.real < -0.5 else 0)
-    status = "PASS" if abs(ratio - 1.0) <= tol else "FAIL"
-    return AlkanReport(chi.modulus, r, chi.index, lhs_magnitude, rhs_magnitude,
-                       ratio, sign_observed, status)
+    # The prefactor (r + 5), both magnitudes and the quotient add (r + 11) _U.
+    error_bound = ((lv.tail_bound + lv.rounding_bound) / abs(lv.value)
+                   + rhs_error / rhs_magnitude + (r + 11) * _U)
+    if tol < error_bound:
+        status, reason = "FAIL", f"tol {tol:g} is below the certifiable error {error_bound:.2g}"
+    elif abs(ratio - 1.0) <= tol:
+        status, reason = "PASS", ""
+    else:
+        status, reason = "FAIL", ""
+    return AlkanReport(k, r, chi.index, lhs_magnitude, rhs_magnitude, ratio,
+                       sign_observed, status, reason, error_bound)
 
 
 def alkan_sweep(k: int, r: int, tol: float,
@@ -373,9 +436,7 @@ def alkan_sweep(k: int, r: int, tol: float,
             continue
         report = alkan_check(r, chi, tol)
         if not chi.primitive and report.status in ("PASS", "FAIL"):
-            report = AlkanReport(k, r, chi.index, report.lhs_magnitude,
-                                 report.rhs_magnitude, report.ratio,
-                                 report.sign_observed, "REPORTED",
-                                 f"imprimitive (conductor {chi.conductor})")
+            report = dataclasses.replace(report, status="REPORTED",
+                                         reason=f"imprimitive (conductor {chi.conductor})")
         reports.append(report)
     return reports

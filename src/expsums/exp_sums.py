@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .compositions import enumerate_chains
 from .errors import PreconditionError
@@ -141,11 +141,18 @@ def _g_values_complex(p: int, k: int, m: int) -> list[complex]:
     return g
 
 
-def prop1_residual_complex(p: int, k: int, m: int) -> FloatResidual:
-    """Floating cross-check of the same identity in complex doubles."""
+def prop1_residual_complex(p: int, k: int, m: int,
+                           g: Sequence[complex] | None = None) -> FloatResidual:
+    """Floating cross-check of the same identity in complex doubles.
+
+    ``g`` may pass in g(0..P) for the same k and m mod k, P >= p, as built by
+    one pass of ``_g_values_complex``; its entries j <= p are the numbers this
+    call would compute, so the residual is the same either way.
+    """
     mm = _require_nondivisible(p, k, m)
     lhs = exp_power_sum_complex(ExpSumQuery(p, k, mm, -1))
-    g = _g_values_complex(p, k, mm)
+    if g is None:
+        g = _g_values_complex(p, k, mm)
     rhs = complex(-(float(k) ** p))
     for a in range(p):
         rhs += (-1) ** (p - a) * binomial(p, a) * float(k) ** a * g[p - a]
@@ -204,14 +211,20 @@ def chain_coefficient_sum(p: int, a: int) -> int:
         raise ValueError(f"need 0 <= a <= p, got a={a}, p={p}")
     if a == 0:
         return (-1) ** p
-    total = 0
+    return _chain_sum(p, a)[0]
+
+
+def _chain_sum(p: int, a: int) -> tuple[int, int]:
+    # The chain sum for 1 <= a <= p and the number of chains it ran over.
+    total = count = 0
     for chain in enumerate_chains(p, p - a):
         seq = (p,) + chain.indices + (p - a,)
         prod = 1
         for hi, lo in zip(seq, seq[1:]):
             prod *= binomial(hi, lo)
         total += (-1) ** (p + chain.length + 1) * prod
-    return total
+        count += 1
+    return total, count
 
 
 @dataclass(frozen=True)
@@ -257,9 +270,13 @@ def run_prop1_exact(pmax: int, kmax: int, m_span: int = 3) -> SweepResult:
 
 
 def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
-    """Floating sweep over m in {1, k-1, floor(k/2) when admissible}."""
+    """Floating sweep over m in {1, k-1, floor(k/2) when admissible}.
+
+    g(0..pmax) is built once per (k, m) and shared by every p.
+    """
     cases = 0
     failures = []
+    g_tables: dict[tuple[int, int], list[complex]] = {}
     for p in range(1, pmax + 1):
         for k in range(2, kmax + 1):
             ms = {1, k - 1}
@@ -267,7 +284,10 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
                 ms.add(k // 2)
             for m in sorted(ms):
                 cases += 1
-                res = prop1_residual_complex(p, k, m)
+                g = g_tables.get((k, m))
+                if g is None:
+                    g = g_tables[k, m] = _g_values_complex(pmax, k, m)
+                res = prop1_residual_complex(p, k, m, g)
                 if not float_tolerance_ok(res, p, k, tol):
                     failures.append(
                         {
@@ -300,13 +320,20 @@ def run_eq3(pmax: int, kmax: int) -> SweepResult:
 
 def run_coefficient_check(pmax: int) -> SweepResult:
     """Chain-sum sweep: value (-1)^(p-a) C(p, a) for a < p, exactly 1 at a = p,
-    and 2^(p-1) chains enumerated at a = p."""
+    and 2^(p-1) chains enumerated at a = p.
+
+    The a = p sum runs over every chain in (0, p), so its one enumeration
+    also gives the chain count.
+    """
     cases = 0
     failures = []
     for p in range(1, pmax + 1):
         for a in range(p + 1):
             cases += 1
-            got = chain_coefficient_sum(p, a)
+            if a < p:
+                got = chain_coefficient_sum(p, a)
+            else:
+                got, n_chains = _chain_sum(p, p)
             want = (-1) ** (p - a) * binomial(p, a)
             if got != want:
                 failures.append(
@@ -317,7 +344,6 @@ def run_coefficient_check(pmax: int) -> SweepResult:
                     }
                 )
         cases += 1
-        n_chains = len(enumerate_chains(p, 0))
         if n_chains != 2 ** (p - 1):
             failures.append(
                 {

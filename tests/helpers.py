@@ -79,6 +79,19 @@ def l_reference(r: int, chi, N: int) -> complex:
     return total
 
 
+def l_reference_tail(r: int, chi, N: int) -> float:
+    """Bound on what l_reference(r, chi, N) leaves out: 2 P / (N + 1) for
+    r = 1 and non-principal chi (partial summation, P the largest
+    |chi(1) + ... + chi(n)| over one period), N^(1-r)/(r-1) for r >= 2."""
+    if r >= 2:
+        return N ** (1 - r) / (r - 1)
+    prefix, largest = 0j, 0.0
+    for n in range(1, chi.modulus + 1):
+        prefix += chi.values[n % chi.modulus]
+        largest = max(largest, abs(prefix))
+    return 2 * largest / (N + 1)
+
+
 def prop1_residual_termwise(p: int, k: int, m: int, binom=math.comb) -> CyclotomicElement:
     """The prop1 residual f(p) - (-k^p + sum_a (-1)^(p-a) C(p, a) k^a g(p-a))
     built term by term: one CyclotomicElement per sum, combined with

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from expsums import exp_sums
+from expsums import dirichlet, exp_sums
 from expsums.cli import emit_report, main
-from helpers import CLI_CASES, PERTURBED_BINOMIALS
+from helpers import CLI_CASES, PERTURBED_BINOMIALS, run_cli
 
 
 def run(capsys, *args):
@@ -165,10 +165,12 @@ class TestVerify:
 
     def test_alkan_unattainable_tolerance_fails(self, capsys):
         # Double precision cannot hit a 1e-18 window; an honest FAIL, exit 1.
-        status, out, _ = run(capsys, "verify", "alkan", "--k", "4", "--r", "1",
-                             "--tol", "1e-18")
-        assert status == 1
-        assert "FAIL" in out
+        for k, r in [("4", "1"), ("20", "2")]:
+            status, out, _ = run(capsys, "verify", "alkan", "--k", k, "--r", r,
+                                 "--tol", "1e-18")
+            assert status == 1
+            assert "FAIL" in out
+            assert "(tol 1e-18 is below the certifiable error " in out
 
     def test_guard_names_flag(self, capsys):
         status, _, err = run(capsys, "verify", "prop1", "--pmax", "99",
@@ -195,12 +197,36 @@ class TestGatesCanFail:
     @pytest.mark.parametrize("command", [
         ["verify", "prop1", "--pmax", "4", "--kmax", "8", "--exact"],
         ["verify", "eq3", "--pmax", "4", "--kmax", "8"],
-    ], ids=["prop1", "eq3"])
+        ["verify", "prop1", "--pmax", "4", "--kmax", "8", "--float"],
+        ["verify", "alkan", "--k", "7", "--r", "3"],
+    ], ids=["prop1", "eq3", "prop1-float", "alkan"])
     def test_perturbed_identity_fails(self, capsys, monkeypatch, command, perturbation):
         monkeypatch.setattr(exp_sums, "binomial", PERTURBED_BINOMIALS[perturbation])
+        monkeypatch.setattr(dirichlet, "binomial", PERTURBED_BINOMIALS[perturbation])
         status, out, _ = run(capsys, *command)
         assert status == 1
-        assert out.startswith("FAIL (")
+        assert out.splitlines()[-1 if command[1] == "alkan" else 0].startswith("FAIL (")
+
+    def test_zero_right_hand_side_is_reported(self, capsys, monkeypatch):
+        # Dropping the q = 0 term empties the r = 1 sum.
+        monkeypatch.setattr(dirichlet, "binomial", PERTURBED_BINOMIALS["drop-a0-term"])
+        status, out, _ = run(capsys, "verify", "alkan", "--k", "4", "--r", "1")
+        assert status == 1
+        assert "chi_1: FAIL (zero right-hand side)\n" in out
+        assert out.endswith("FAIL (1 of 1 characters failed, 1 skipped)\n")
+
+
+class TestRuntimeImports:
+    def test_numpy_not_imported(self, monkeypatch):
+        # numpy is a test dependency only: neither importing the package nor
+        # the floating verify path may load it.
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+        status, out, err = run_cli(["verify", "alkan", "--k", "5", "--r", "2"])
+        assert status == 0 and out.startswith(b"chi_0: SKIPPED")
+        imported = [line.rsplit(b"|", 1)[-1].strip()
+                    for line in err.splitlines() if line.startswith(b"import time:")]
+        assert b"expsums.dirichlet" in imported
+        assert not [name for name in imported if name.split(b".")[0] == b"numpy"]
 
 
 class TestEmitReport:

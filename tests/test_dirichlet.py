@@ -1,4 +1,6 @@
+import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -6,13 +8,21 @@ from expsums import (
     DivergenceError,
     alkan_check,
     alkan_sweep,
+    bernoulli_oracle,
+    dirichlet,
     enumerate_characters,
     gauss_sum,
     l_value,
     s_sum,
     unit_group_structure,
 )
-from helpers import brute_totient, l_reference, s_sum_double_loop
+from helpers import (
+    PERTURBED_BINOMIALS,
+    brute_totient,
+    l_reference,
+    l_reference_tail,
+    s_sum_double_loop,
+)
 
 
 def _quadratic(k):
@@ -121,6 +131,17 @@ class TestCharacters:
                 else:
                     assert abs(value - 1) < 1e-12
 
+    def test_values_match_fraction_phases(self):
+        # The value at a unit is e^(2 pi i theta) with theta = sum_i t_i v_i / o_i
+        # mod 1, rounded once to a double: the same bits as from Fractions.
+        for k in (8, 12, 36, 63, 100):
+            st = unit_group_structure(k)
+            for chi in enumerate_characters(k):
+                for u, logs in st.dlog.items():
+                    theta = sum(Fraction(t * v, o) for t, v, o
+                                in zip(chi.exponents, logs, st.orders)) % 1
+                    assert chi.values[u] == cmath.rect(1.0, 2.0 * math.pi * float(theta))
+
     def test_known_conductors_mod_12(self):
         chars = enumerate_characters(12)
         conductors = sorted(c.conductor for c in chars)
@@ -185,13 +206,30 @@ class TestLValue:
             assert abs(lv.value - ref) < 1e-6
 
     def test_tail_bound_dominates_observed_tail(self):
+        # Against a long plain partial sum, allowing for what the partial sum
+        # itself leaves out and for its rounding.
+        n_ref = 10**6
         for k, r in [(4, 1), (3, 1), (5, 2), (7, 2)]:
             for chi in enumerate_characters(k):
                 if chi.principal:
                     continue
                 lv = l_value(r, chi, 1e-4)
-                longer = l_reference(r, chi, 4 * lv.truncation_N)
-                assert abs(lv.value - longer) <= lv.tail_bound
+                assert lv.tail_bound <= 1e-4
+                ref = l_reference(r, chi, n_ref)
+                allowed = lv.tail_bound + l_reference_tail(r, chi, n_ref) + 1e-12
+                assert abs(lv.value - ref) <= allowed
+
+    @pytest.mark.parametrize("k, r, want", [
+        (4, 1, math.pi / 4),
+        (3, 1, math.pi / (3 * math.sqrt(3))),
+        (4, 2, 0.915965594177219015),  # Catalan's constant
+        (5, 2, 4 * math.pi**2 / (25 * math.sqrt(5))),
+    ])
+    def test_closed_forms(self, k, r, want):
+        lv = l_value(r, _quadratic(k), 1e-15)
+        assert lv.tail_bound <= 1e-15
+        assert abs(lv.value - want) <= 1e-13
+        assert lv.rounding_bound <= 1e-13
 
     def test_divergence_guard(self):
         principal = enumerate_characters(4)[0]
@@ -242,3 +280,65 @@ class TestAlkanCheck:
         statuses = {r.chi_index: r.status for r in reports}
         assert "REPORTED" in statuses.values()
         assert all(s != "FAIL" for s in statuses.values())
+
+    def test_ratio_within_stated_error_bound(self):
+        # E is a first-order bound on the floating error of the ratio; every
+        # primitive matched-parity check up to k = 60 must sit inside it.
+        checked = 0
+        for k in range(3, 61):
+            for r in range(1, 5):
+                for report in alkan_sweep(k, r, 1e-5):
+                    if report.ratio is None:
+                        continue
+                    checked += 1
+                    assert report.status == "PASS", (k, r, report.chi_index)
+                    assert abs(report.ratio - 1) <= report.error_bound, (k, r, report)
+                    assert report.error_bound < 1e-8
+        assert checked > 1000
+
+    @pytest.mark.parametrize("k, r", [(4, 1), (20, 2)])
+    def test_tolerance_below_error_bound_fails(self, k, r):
+        reports = [rep for rep in alkan_sweep(k, r, 1e-18) if rep.status != "SKIPPED"]
+        assert reports
+        for rep in reports:
+            assert rep.status == "FAIL"
+            assert rep.error_bound > 1e-18
+            assert "below the certifiable error" in rep.reason
+
+    def test_gauss_sums_computed_once_per_character(self, monkeypatch):
+        calls = []
+
+        def counted(j, chi):
+            calls.append(j)
+            return gauss_sum(j, chi)
+
+        monkeypatch.setattr(dirichlet, "gauss_sum", counted)
+        dirichlet._gauss_sums.cache_clear()
+        chi = [c for c in enumerate_characters(13) if c.parity == "even" and c.primitive][0]
+        assert alkan_check(4, chi, 1e-5).status == "PASS"
+        assert sorted(calls) == list(range(1, 14))
+
+
+def _halved_b0(n):
+    return bernoulli_oracle(n) / 2 if n == 0 else bernoulli_oracle(n)
+
+
+# flip-r1-sign cannot move r <= 2: r = 1 has no q = 1 term, and at r = 2 that
+# term multiplies S(1, chi), which vanishes for every even chi.  A halved
+# Bernoulli weight B_0 stands in for it there.
+ALKAN_MUTATIONS = [
+    ("drop-a0-term", 4, 1), ("drop-a0-term", 5, 2), ("drop-a0-term", 7, 3),
+    ("flip-r1-sign", 7, 3), ("flip-r1-sign", 5, 4),
+    ("halve-b0", 4, 1), ("halve-b0", 5, 2), ("halve-b0", 13, 2),
+]
+
+
+class TestGatesCanFail:
+    @pytest.mark.parametrize("perturbation, k, r", ALKAN_MUTATIONS)
+    def test_perturbed_identity_fails(self, monkeypatch, perturbation, k, r):
+        if perturbation == "halve-b0":
+            monkeypatch.setattr(dirichlet, "bernoulli_oracle", _halved_b0)
+        else:
+            monkeypatch.setattr(dirichlet, "binomial", PERTURBED_BINOMIALS[perturbation])
+        checked = [rep for rep in alkan_sweep(k, r, 1e-5) if rep.status != "SKIPPED"]
+        assert checked and all(rep.status == "FAIL" for rep in checked)

@@ -194,6 +194,29 @@ class TestSweeps:
         sweep = run_coefficient_check(8)
         assert sweep.ok
 
+    def test_coefficient_sweep_enumerates_each_chain_set_once(self, monkeypatch):
+        # The chains in (p-a, p) are the subsets of its a-1 interior points;
+        # the a = p set also gives the 2^(p-1) count, without a second pass.
+        enumerated = []
+
+        def counted(p, q):
+            chains = enumerate_chains(p, q)
+            enumerated.append(len(chains))
+            return chains
+
+        monkeypatch.setattr(exp_sums, "enumerate_chains", counted)
+        sweep = run_coefficient_check(8)
+        assert sweep.ok and sweep.cases == sum(p + 2 for p in range(1, 9))
+        assert sum(enumerated) == sum(2**p - 1 for p in range(1, 9))
+
+    def test_prop1_float_shared_g_table_is_bit_identical(self):
+        for k in range(2, 21):
+            for m in range(1, k):
+                table = exp_sums._g_values_complex(9, k, m)
+                for p in range(1, 10):
+                    assert prop1_residual_complex(p, k, m, table) == \
+                        prop1_residual_complex(p, k, m), (p, k, m)
+
 
 def _prop1_grid(pmax, kmax):
     for p in range(1, pmax + 1):
@@ -251,3 +274,13 @@ class TestGatesCanFail:
         if perturbation == "drop-a0-term":
             assert len(sweep.failures) == 4 * 7
         assert all(r["detail"].startswith("nonzero residual ") for r in sweep.failures)
+
+    @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
+    def test_prop1_float_reports_failures(self, monkeypatch, perturbation):
+        monkeypatch.setattr(exp_sums, "binomial", PERTURBED_BINOMIALS[perturbation])
+        sweep = run_prop1_float(4, 8)
+        assert sweep.cases == 72
+        assert not sweep.ok
+        if perturbation == "drop-a0-term":
+            assert len(sweep.failures) == sweep.cases
+        assert all(r["detail"].startswith("abs=") for r in sweep.failures)
