@@ -6,6 +6,11 @@ B_n a second way, sharing no code with the oracle: it equates the Bernoulli
 closed form of h(p, .) for p = n+1 against the odd-exponent halving
 recurrence, solves the single linear coefficient equation for B_n, and then
 insists the two polynomials agree in every coefficient.
+
+The lower closed forms h(j, .), j < n, come from the memoised recursion that
+also serves ``h_polynomial``, so each is built once for all n.  The memo is
+keyed by the Bernoulli source, and retrieval's source is the retrieved values,
+so it never reads a polynomial built from ``bernoulli_oracle``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Mapping
 
 from .errors import ConsistencyError
 from .exact import Polynomial, binomial, polynomial_from_points
-from .power_sums import faulhaber_polynomial, h_naive, odd_recurrence_polynomial
+from .power_sums import _closed_form, faulhaber_polynomial, h_naive, odd_recurrence_polynomial
 
 
 @lru_cache(maxsize=None)
@@ -57,6 +62,13 @@ def _known_even_power_sum(n: int) -> Polynomial:
     return polynomial_from_points(points, var="k")
 
 
+def _retrieved(j: int) -> Fraction:
+    """B_j as retrieval produces it (j = 1 or even); odd indices >= 3 vanish."""
+    if j % 2 == 1 and j > 1:
+        return Fraction(0)
+    return retrieve_bernoulli(j)
+
+
 @lru_cache(maxsize=None)
 def _retrieve_detail(n: int) -> RetrievalDetail:
     if n < 1 or (n != 1 and n % 2 == 1):
@@ -64,30 +76,14 @@ def _retrieve_detail(n: int) -> RetrievalDetail:
             f"retrieval is defined for n = 1 and even n >= 2, got n={n} "
             f"(odd Bernoulli numbers beyond the first vanish; nothing to solve)"
         )
-    retrieved: dict[int, Fraction] = {}
-    if n > 1:
-        retrieved[1] = retrieve_bernoulli(1)
-        for m in range(2, n, 2):
-            retrieved[m] = retrieve_bernoulli(m)
-
-    def bern_prior(j: int) -> Fraction:
-        # Indices below n: retrieved values, odd ones >= 3 vanish.
-        if j in retrieved:
-            return retrieved[j]
-        if j % 2 == 1 and j > 1:
-            return Fraction(0)
-        raise ConsistencyError(f"retrieval for n={n} asked for unavailable B_{j}")
-
     p = 1 if n == 1 else n + 1
 
-    # Closed forms of the lower power sums feeding the recurrence side.
-    lower: dict[int, Polynomial] = {}
-    for j in range(1, p):
-        if j % 2 == 0:
-            lower[j] = _known_even_power_sum(j) if j == n else faulhaber_polynomial(j, bern_prior)
-        else:
-            lower[j] = odd_recurrence_polynomial(j, lower.__getitem__)
-    recurrence_poly = odd_recurrence_polynomial(p, lower.__getitem__)
+    # Lower closed forms come from retrieved B_j, j < n; at j = n the
+    # Bernoulli-free even power sum stands in for the unknown B_n.
+    def lower(j: int) -> Polynomial:
+        return _known_even_power_sum(n) if j == n else _closed_form(j, _retrieved)
+
+    recurrence_poly = odd_recurrence_polynomial(p, lower)
 
     def bern_with(value_n: Fraction):
         def bern(j: int) -> Fraction:
@@ -96,7 +92,7 @@ def _retrieve_detail(n: int) -> RetrievalDetail:
             if j > n:
                 # Only j = p = n+1 occurs here, an odd index >= 3: it vanishes.
                 return Fraction(0)
-            return bern_prior(j)
+            return _retrieved(j)
 
         return bern
 

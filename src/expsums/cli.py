@@ -52,30 +52,25 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def emit_report(records: Iterable[dict], mode: str = "text",
-                cases: int | None = None) -> tuple[str, int]:
+def emit_report(records: Iterable[dict], mode: str, cases: int) -> tuple[str, int]:
     """Render verification records; returns (output, exit_status).
 
     Text mode is one tally line per run ("PASS (N cases)") plus one line per
-    non-passing record; json mode is the record array itself (stable keys
+    failing record; json mode is the record array itself (stable keys
     case/status/detail).  Any FAIL record forces exit status 1.
     """
     records = list(records)
     n_fail = sum(1 for r in records if r.get("status") == "FAIL")
-    n_skip = sum(1 for r in records if r.get("status") == "SKIPPED")
-    if cases is None:
-        cases = len(records)
     status = 1 if n_fail else 0
     if mode == "json":
         return json.dumps(records, sort_keys=True), status
-    skip_note = f", {n_skip} skipped" if n_skip else ""
     if n_fail:
-        lines = [f"FAIL ({n_fail} of {cases} cases failed{skip_note})"]
+        lines = [f"FAIL ({n_fail} of {cases} cases failed)"]
     else:
-        lines = [f"PASS ({cases} cases{skip_note})"]
+        lines = [f"PASS ({cases} cases)"]
     for r in records:
-        if r.get("status") in ("FAIL", "SKIPPED"):
-            lines.append(f"  {r.get('status')} {r.get('case')}: {r.get('detail')}")
+        if r.get("status") == "FAIL":
+            lines.append(f"  FAIL {r.get('case')}: {r.get('detail')}")
     return "\n".join(lines), status
 
 
@@ -194,6 +189,12 @@ def _cmd_characters(args) -> int:
     return 0
 
 
+def _print_sweep(sweep: exp_sums.SweepResult, as_json: bool) -> int:
+    out, status = emit_report(sweep.failures, "json" if as_json else "text", sweep.cases)
+    print(out)
+    return status
+
+
 def _cmd_verify_prop1(args) -> int:
     if args.float:
         _cap(args.pmax, 12, "--pmax")
@@ -203,29 +204,20 @@ def _cmd_verify_prop1(args) -> int:
         _cap(args.pmax, 16, "--pmax")
         _cap(args.kmax, 64, "--kmax")
         sweep = exp_sums.run_prop1_exact(args.pmax, args.kmax)
-    out, status = emit_report(sweep.failures, "json" if args.json else "text",
-                              cases=sweep.cases)
-    print(out)
-    return status
+    return _print_sweep(sweep, args.json)
 
 
 def _cmd_verify_eq3(args) -> int:
     _cap(args.pmax, 12, "--pmax")
     _cap(args.kmax, 24, "--kmax")
     sweep = exp_sums.run_eq3(args.pmax, args.kmax)
-    out, status = emit_report(sweep.failures, "json" if args.json else "text",
-                              cases=sweep.cases)
-    print(out)
-    return status
+    return _print_sweep(sweep, args.json)
 
 
 def _cmd_verify_coeffs(args) -> int:
     _cap(args.pmax, 16, "--pmax")
     sweep = exp_sums.run_coefficient_check(args.pmax)
-    out, status = emit_report(sweep.failures, "json" if args.json else "text",
-                              cases=sweep.cases)
-    print(out)
-    return status
+    return _print_sweep(sweep, args.json)
 
 
 def _cmd_verify_alkan(args) -> int:
@@ -347,9 +339,6 @@ def main(argv: list[str] | None = None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-run = main
 
 
 def console_entry() -> None:

@@ -356,6 +356,13 @@ class AlkanReport:
     error_bound: Optional[float] = None
 
 
+def _require_alkan_range(r: int, tol: float) -> None:
+    if not 1 <= r <= 4:
+        raise ValueError(f"the check is desk-scale only, need 1 <= r <= 4, got {r}")
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
 def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
     """PASS when the magnitude ratio of the two sides is within tol of 1.
 
@@ -370,12 +377,9 @@ def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
     below E is reported as FAIL with that reason, whatever the ratio, because
     double precision cannot certify it.
     """
-    if not 1 <= r <= 4:
-        raise ValueError(f"the check is desk-scale only, need 1 <= r <= 4, got {r}")
+    _require_alkan_range(r, tol)
     if chi.principal:
         raise ValueError("the identity requires a non-principal character")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if chi.parity != ("odd" if r % 2 else "even"):
         return AlkanReport(chi.modulus, r, chi.index, None, None, None, None,
                            "SKIPPED", "parity mismatch")
@@ -424,6 +428,7 @@ def alkan_sweep(k: int, r: int, tol: float,
     ``include_imprimitive`` the latter are evaluated but only REPORTED, never
     failed, since the identity's scope for them is not pinned down.
     """
+    _require_alkan_range(r, tol)
     reports = []
     for chi in enumerate_characters(k):
         if chi.principal:

@@ -21,6 +21,11 @@ vector and, for prop1, reduced mod Phi_k once.  That equals reducing every
 term and adding the residues, because reduction Z[x]/(x^k - 1) ->
 Q[x]/Phi_k is a ring homomorphism and a reduced residue is canonical; the
 zero test is therefore unchanged.
+
+The floating sums share one kernel, ``_power_sums_complex``: the sums for
+every exponent 0..P at one frequency, in one pass over s.  The floating prop1
+residual reads f from the table at -m and g from the one at +m; f is summed
+in its own right, not conjugated from g.
 """
 
 from __future__ import annotations
@@ -57,15 +62,24 @@ class ExpSumQuery:
         object.__setattr__(self, "m", self.m % self.k)
 
 
+def _power_sums_complex(P: int, k: int, e: int) -> list[complex]:
+    """sum_{s=1}^{k-1} s^j exp(2 pi i e s / k) for j = 0..P, in one pass over s."""
+    w = cmath.exp(2j * cmath.pi * e / k)
+    sums = [0j] * (P + 1)
+    ws = 1 + 0j
+    for s in range(1, k):
+        ws *= w
+        term = ws
+        fs = float(s)
+        for j in range(P + 1):
+            sums[j] += term
+            term *= fs
+    return sums
+
+
 def exp_power_sum_complex(q: ExpSumQuery) -> complex:
     """Direct double-precision summation of s^p exp(sign * 2 pi i m s / k)."""
-    w = cmath.exp(q.sign * 2j * cmath.pi * q.m / q.k)
-    total = 0j
-    ws = 1 + 0j
-    for s in range(1, q.k):
-        ws *= w
-        total += float(s) ** q.p * ws
-    return total
+    return _power_sums_complex(q.p, q.k, q.sign * q.m)[q.p]
 
 
 def _add_exponent_vector(vec: list[int], c: int, p: int, e: int) -> None:
@@ -126,38 +140,22 @@ class FloatResidual(NamedTuple):
     relative: float
 
 
-def _g_values_complex(p: int, k: int, m: int) -> list[complex]:
-    # One pass over s accumulating g(j) for all j = 0..p.
-    w = cmath.exp(2j * cmath.pi * m / k)
-    g = [0j] * (p + 1)
-    ws = 1 + 0j
-    for s in range(1, k):
-        ws *= w
-        term = ws
-        fs = float(s)
-        for j in range(p + 1):
-            g[j] += term
-            term *= fs
-    return g
-
-
-def prop1_residual_complex(p: int, k: int, m: int,
-                           g: Sequence[complex] | None = None) -> FloatResidual:
-    """Floating cross-check of the same identity in complex doubles.
-
-    ``g`` may pass in g(0..P) for the same k and m mod k, P >= p, as built by
-    one pass of ``_g_values_complex``; its entries j <= p are the numbers this
-    call would compute, so the residual is the same either way.
-    """
-    mm = _require_nondivisible(p, k, m)
-    lhs = exp_power_sum_complex(ExpSumQuery(p, k, mm, -1))
-    if g is None:
-        g = _g_values_complex(p, k, mm)
+def _prop1_residual_float(p: int, k: int, f: Sequence[complex],
+                          g: Sequence[complex]) -> FloatResidual:
+    # f and g hold the sums at frequencies -m and +m for exponents 0..P, P >= p.
+    lhs = f[p]
     rhs = complex(-(float(k) ** p))
     for a in range(p):
         rhs += (-1) ** (p - a) * binomial(p, a) * float(k) ** a * g[p - a]
     absolute = abs(lhs - rhs)
     return FloatResidual(absolute, absolute / max(abs(lhs), 1.0))
+
+
+def prop1_residual_complex(p: int, k: int, m: int) -> FloatResidual:
+    """Floating cross-check of the same identity in complex doubles."""
+    mm = _require_nondivisible(p, k, m)
+    return _prop1_residual_float(p, k, _power_sums_complex(p, k, -mm),
+                                 _power_sums_complex(p, k, mm))
 
 
 def float_tolerance_ok(res: FloatResidual, p: int, k: int, rel_tol: float = 1e-8) -> bool:
@@ -272,11 +270,12 @@ def run_prop1_exact(pmax: int, kmax: int, m_span: int = 3) -> SweepResult:
 def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
     """Floating sweep over m in {1, k-1, floor(k/2) when admissible}.
 
-    g(0..pmax) is built once per (k, m) and shared by every p.
+    The f and g sums for exponents 0..pmax are built once per (k, m) and
+    shared by every p.
     """
     cases = 0
     failures = []
-    g_tables: dict[tuple[int, int], list[complex]] = {}
+    tables: dict[tuple[int, int], tuple[list[complex], list[complex]]] = {}
     for p in range(1, pmax + 1):
         for k in range(2, kmax + 1):
             ms = {1, k - 1}
@@ -284,10 +283,11 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
                 ms.add(k // 2)
             for m in sorted(ms):
                 cases += 1
-                g = g_tables.get((k, m))
-                if g is None:
-                    g = g_tables[k, m] = _g_values_complex(pmax, k, m)
-                res = prop1_residual_complex(p, k, m, g)
+                fg = tables.get((k, m))
+                if fg is None:
+                    fg = tables[k, m] = (_power_sums_complex(pmax, k, -m),
+                                         _power_sums_complex(pmax, k, m))
+                res = _prop1_residual_float(p, k, *fg)
                 if not float_tolerance_ok(res, p, k, tol):
                     failures.append(
                         {

@@ -58,6 +58,14 @@ def odd_recurrence_polynomial(p: int, lower: Callable[[int], Polynomial]) -> Pol
 
 
 @lru_cache(maxsize=None)
+def _closed_form(p: int, bern: Callable[[int], Fraction]) -> Polynomial:
+    """Closed form of h(p, .): Faulhaber's from ``bern`` for even p, the
+    halving recurrence for odd p.  Memoised per source, so sources never mix."""
+    if p % 2 == 0:
+        return faulhaber_polynomial(p, bern)
+    return odd_recurrence_polynomial(p, lambda j: _closed_form(j, bern))
+
+
 def h_polynomial(p: int) -> Polynomial:
     """Closed-form polynomial for h(p, .): degree p+1, leading coefficient
     1/(p+1), zero constant term.
@@ -69,9 +77,7 @@ def h_polynomial(p: int) -> Polynomial:
         raise ValueError(f"h_polynomial requires p >= 1, got {p}")
     from .bernoulli import bernoulli_oracle
 
-    if p % 2 == 0:
-        return faulhaber_polynomial(p, bernoulli_oracle)
-    return odd_recurrence_polynomial(p, h_polynomial)
+    return _closed_form(p, bernoulli_oracle)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from expsums import bernoulli, power_sums
 from expsums import (
     bernoulli_oracle,
     bernoulli_table,
+    h_polynomial,
     retrieve_bernoulli,
     retrieve_bernoulli_detail,
 )
@@ -112,3 +115,57 @@ class TestTable:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_table(-1)
+
+
+@pytest.fixture
+def cold_closed_forms():
+    # Empty the shared closed-form memo and the retrieval memo before and
+    # after, so no other test sees the polynomials built here.
+    caches = (power_sums._closed_form, bernoulli._retrieve_detail)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestSharedClosedForms:
+    def test_retrieval_never_reads_oracle_closed_forms(self, cold_closed_forms, monkeypatch):
+        # Fill the shared memo through h_polynomial from a deliberately wrong
+        # oracle: a memo keyed by p alone would hand these polynomials to
+        # retrieval, and its solved values or its coefficient check would break.
+        monkeypatch.setattr(bernoulli, "bernoulli_oracle",
+                            lambda n: bernoulli_oracle(n) + (n == 2))
+        for p in range(1, 14):
+            h_polynomial(p)
+
+        def unavailable(n):
+            raise AssertionError(f"retrieval called the oracle for B_{n}")
+
+        monkeypatch.setattr(bernoulli, "bernoulli_oracle", unavailable)
+        indices = [1] + list(range(2, 17, 2))
+        values = {n: retrieve_bernoulli_detail(n).value for n in indices}
+        monkeypatch.undo()
+        assert values == {n: bernoulli_oracle(n) for n in indices}
+
+    def test_cold_table_builds_each_closed_form_once(self, cold_closed_forms, monkeypatch):
+        # Per retrieved n: one recurrence and two Faulhaber forms.  Shared:
+        # one closed form per exponent below 30.
+        calls = Counter()
+        originals = {name: getattr(power_sums, name)
+                     for name in ("odd_recurrence_polynomial", "faulhaber_polynomial")}
+
+        def counted(name):
+            def wrapper(*args):
+                calls[name] += 1
+                return originals[name](*args)
+
+            return wrapper
+
+        for module in (power_sums, bernoulli):
+            for name in originals:
+                monkeypatch.setattr(module, name, counted(name))
+        table = bernoulli_table(30)
+        assert [table[n] for n in range(31)] == [bernoulli_oracle(n) for n in range(31)]
+        assert calls["odd_recurrence_polynomial"] <= 31
+        assert calls["faulhaber_polynomial"] <= 46

@@ -216,6 +216,17 @@ class TestGatesCanFail:
         assert out.endswith("FAIL (1 of 1 characters failed, 1 skipped)\n")
 
 
+class TestAlkanRange:
+    @pytest.mark.parametrize("r", ["0", "9"])
+    @pytest.mark.parametrize("k", ["1", "2", "5"])
+    def test_out_of_range_r_is_a_usage_error(self, capsys, k, r):
+        # Mod 1 and mod 2 no character reaches the check itself.
+        status, out, err = run(capsys, "verify", "alkan", "--k", k, "--r", r)
+        assert status == 2
+        assert out == ""
+        assert f"need 1 <= r <= 4, got {r}" in err
+
+
 class TestRuntimeImports:
     def test_numpy_not_imported(self, monkeypatch):
         # numpy is a test dependency only: neither importing the package nor
@@ -245,12 +256,6 @@ class TestEmitReport:
         out, status = emit_report([record], "json", cases=10)
         assert status == 1
         assert json.loads(out) == [record]
-
-    def test_skipped_tally(self):
-        record = {"case": "chi_0", "status": "SKIPPED", "detail": "principal"}
-        out, status = emit_report([record], "text", cases=3)
-        assert status == 0
-        assert out.splitlines()[0] == "PASS (3 cases, 1 skipped)"
 
 
 class TestUsageErrors:

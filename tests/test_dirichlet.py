@@ -268,6 +268,12 @@ class TestAlkanCheck:
         with pytest.raises(ValueError):
             alkan_check(2, enumerate_characters(5)[0], 1e-5)
 
+    @pytest.mark.parametrize("r, tol", [(9, 1e-5), (2, -1.0)])
+    def test_sweep_validates_before_any_character(self, r, tol):
+        # Mod 2 the only character is principal, so no check ever runs.
+        with pytest.raises(ValueError):
+            alkan_sweep(2, r, tol)
+
     def test_sweep_skips_imprimitive_by_default(self):
         reports = alkan_sweep(12, 2, 1e-5)
         skipped = [r for r in reports if r.status == "SKIPPED"]

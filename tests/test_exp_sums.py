@@ -210,11 +210,14 @@ class TestSweeps:
         assert sum(enumerated) == sum(2**p - 1 for p in range(1, 9))
 
     def test_prop1_float_shared_g_table_is_bit_identical(self):
+        # The sweep's f and g tables run to P = pmax; the entries j <= p are
+        # the numbers a call for p alone computes.
         for k in range(2, 21):
             for m in range(1, k):
-                table = exp_sums._g_values_complex(9, k, m)
+                f = exp_sums._power_sums_complex(9, k, -m)
+                g = exp_sums._power_sums_complex(9, k, m)
                 for p in range(1, 10):
-                    assert prop1_residual_complex(p, k, m, table) == \
+                    assert exp_sums._prop1_residual_float(p, k, f, g) == \
                         prop1_residual_complex(p, k, m), (p, k, m)
 
 
