@@ -1,7 +1,8 @@
 """Bernoulli numbers two independent ways.
 
 ``bernoulli_oracle`` runs the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j
-= 0 with B_0 = 1 (which fixes B_1 = -1/2).  ``retrieve_bernoulli`` recovers
+= 0 with B_0 = 1 (which fixes B_1 = -1/2), summing each step as one integer
+over the lcm of the earlier denominators.  ``retrieve_bernoulli`` recovers
 B_n a second way, sharing no code with the oracle: it equates the Bernoulli
 closed form of h(p, .) for p = n+1 against the odd-exponent halving
 recurrence, solves the single linear coefficient equation for B_n, and then
@@ -15,6 +16,7 @@ so it never reads a polynomial built from ``bernoulli_oracle``.
 
 from __future__ import annotations
 
+import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +24,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import ConsistencyError
-from .exact import Polynomial, binomial, polynomial_from_points
+from .exact import Polynomial, polynomial_from_points
 from .power_sums import _closed_form, faulhaber_polynomial, h_naive, odd_recurrence_polynomial
 
 
@@ -33,10 +35,15 @@ def bernoulli_oracle(n: int) -> Fraction:
         raise ValueError(f"Bernoulli index must be >= 0, got {n}")
     if n == 0:
         return Fraction(1)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += binomial(n + 1, j) * bernoulli_oracle(j)
-    return -acc / (n + 1)
+    prior = [bernoulli_oracle(j) for j in range(n)]
+    den = math.lcm(*[b.denominator for b in prior])
+    acc = 0  # sum_{j<n} C(n+1, j) B_j, times den
+    c = 1  # C(n+1, j)
+    for j, b in enumerate(prior):
+        if b:
+            acc += c * b.numerator * (den // b.denominator)
+        c = c * (n + 1 - j) // (j + 1)
+    return Fraction(-acc, den * (n + 1))
 
 
 @dataclass(frozen=True)

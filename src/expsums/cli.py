@@ -2,8 +2,9 @@
 
 Subcommands: powersum, bernoulli, compositions, characters, verify
 (prop1 | eq3 | coeffs | alkan).  Every run is deterministic given its flags;
-exit status is 0 on success or PASS, 1 when a verification records a FAIL,
-2 on usage errors.  Exact values print as rationals ("a/b"); the character
+exit status is 0 on success or PASS, 1 when a verification records a FAIL
+or an internal self-check fires (one "error:" line on stderr), 2 on usage
+errors.  Exact values print as rationals ("a/b"); the character
 and L-series subcommands print 12 significant digits.
 """
 
@@ -19,6 +20,7 @@ from . import bernoulli as bern
 from . import compositions as comps
 from . import dirichlet, exp_sums, power_sums
 from .errors import (
+    ConsistencyError,
     DivergenceError,
     ParityError,
     PreconditionError,
@@ -165,6 +167,17 @@ def _cmd_compositions(args) -> int:
 def _cmd_characters(args) -> int:
     _cap(args.k, 1000, "--k")
     chars = dirichlet.enumerate_characters(args.k)
+    # The values are drawn from one table of roots of unity and 0j, so few
+    # are distinct.  Equal complex values format alike here: no value has a
+    # negative zero part, the one case where equal floats print differently.
+    formatted: dict[complex, str] = {}
+
+    def fmt(v: complex) -> str:
+        text = formatted.get(v)
+        if text is None:
+            text = formatted[v] = _fmt_complex(v)
+        return text
+
     if args.json:
         _print_json([
             {
@@ -174,7 +187,7 @@ def _cmd_characters(args) -> int:
                 "parity": c.parity,
                 "primitive": c.primitive,
                 "principal": c.principal,
-                "values": [_fmt_complex(v) for v in c.values],
+                "values": [fmt(v) for v in c.values],
             }
             for c in chars
         ])
@@ -185,7 +198,7 @@ def _cmd_characters(args) -> int:
                      f"conductor {c.conductor}",
                      "primitive" if c.primitive else "imprimitive"]
             print(f"chi_{c.index}: " + ", ".join(flags))
-            print("  values: " + ", ".join(_fmt_complex(v) for v in c.values))
+            print("  values: " + ", ".join(map(fmt, c.values)))
     return 0
 
 
@@ -339,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:  # a self-check fired: a failed verification
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_entry() -> None:

@@ -3,9 +3,11 @@
 Rationals are stdlib ``fractions.Fraction`` (always canonical: positive
 denominator, reduced).  Polynomials are dense ascending coefficient lists over
 exact scalars (int or Fraction); the zero polynomial has an empty coefficient
-tuple and degree ``None``.  ``CyclotomicElement`` is a residue in
-Q[x]/Phi_k(x), the exact stand-in for expressions in a primitive k-th root of
-unity.
+tuple and degree ``None``.  A product of polynomials clears each operand to
+integer numerators over one common denominator, convolves the integers and
+reduces each output coefficient once, instead of paying a gcd per ``Fraction``
+term.  ``CyclotomicElement`` is a residue in Q[x]/Phi_k(x), the exact stand-in
+for expressions in a primitive k-th root of unity.
 """
 
 from __future__ import annotations
@@ -59,6 +61,18 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
         out *= math.comb(remaining, p)
         remaining -= p
     return out
+
+
+def _integer_numerators(coeffs: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _ratio(num: int, den: int) -> Scalar:
+    """num/den as an int when den divides num, else a canonical Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 class Polynomial:
@@ -163,13 +177,15 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial((), var=self.var)
-        out: list = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out, var=self.var)
+        a_nums, a_den = _integer_numerators(self.coeffs)
+        b_nums, b_den = _integer_numerators(other.coeffs)
+        out = [0] * (len(a_nums) + len(b_nums) - 1)
+        for i, a in enumerate(a_nums):
+            if a:
+                for j, b in enumerate(b_nums, i):
+                    out[j] += a * b
+        den = a_den * b_den
+        return Polynomial((_ratio(c, den) for c in out), var=self.var)
 
     __rmul__ = __mul__
 
@@ -276,24 +292,42 @@ def poly_coefficient(p: Polynomial, d: int) -> Fraction:
 
 
 def polynomial_from_points(points: Sequence[tuple[Scalar, Scalar]], var: str = "x") -> Polynomial:
-    """Lagrange interpolation through distinct exact points."""
+    """Lagrange interpolation through distinct exact points, in O(n^2).
+
+    With the abscissae scaled by D and the ordinates by E to integers X_j and
+    Y_j, the interpolant of (X_j, Y_j) is sum_i Y_i M(t)/((t - X_i) M'(X_i))
+    for M(t) = prod_j (t - X_j): one synthetic division of M per point, all
+    over the lcm of the M'(X_i).  Coefficient d of the result is that of
+    degree d divided by E and multiplied by D^d.
+    """
     xs = [Fraction(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct abscissae")
-    total = Polynomial.zero(var=var)
-    for i, (xi, yi) in enumerate(points):
-        yi = Fraction(yi)
-        if yi == 0:
-            continue
-        basis = Polynomial.one(var=var)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * Polynomial((-xj, 1), var=var)
-            denom *= Fraction(xi) - xj
-        total = total + basis * (yi / denom)
-    return total
+    big_x, x_scale = _integer_numerators(xs)
+    big_y, y_scale = _integer_numerators([Fraction(y) for _, y in points])
+    master = [1]  # prod_j (t - X_j), ascending
+    for xj in big_x:
+        master = [0] + master
+        for d in range(len(master) - 1):
+            master[d] -= xj * master[d + 1]
+    weights = []  # (Y_i, prod_{j != i} (X_i - X_j), X_i) for every Y_i != 0
+    for xi, yi in zip(big_x, big_y):
+        if yi:
+            weight = 1
+            for xj in big_x:
+                if xj != xi:
+                    weight *= xi - xj
+            weights.append((yi, weight, xi))
+    den = math.lcm(*[w for _, w, _ in weights])
+    total = [0] * len(big_x)
+    for yi, weight, xi in weights:
+        scale = yi * (den // weight)
+        carry = 0  # synthetic division of the master polynomial by t - X_i
+        for d in range(len(total) - 1, -1, -1):
+            carry = master[d + 1] + xi * carry
+            total[d] += scale * carry
+    den *= y_scale
+    return Polynomial((_ratio(c * x_scale**d, den) for d, c in enumerate(total)), var=var)
 
 
 _CYCLOTOMIC_CACHE: dict[int, Polynomial] = {}

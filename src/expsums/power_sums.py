@@ -81,13 +81,20 @@ def h_polynomial(p: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
+def _oracle_faulhaber(p: int) -> Polynomial:
+    """Faulhaber's closed form of h(p, .) from oracle Bernoulli numbers, built
+    once per p for every k."""
+    from .bernoulli import bernoulli_oracle
+
+    return faulhaber_polynomial(p, bernoulli_oracle)
+
+
+@lru_cache(maxsize=None)
 def h_faulhaber(p: int, k: int) -> Fraction:
     """Evaluate the Bernoulli closed form; asserted integral, never truncated."""
     if p < 1 or k < 0:
         raise ValueError(f"h_faulhaber requires p >= 1 and k >= 0, got p={p}, k={k}")
-    from .bernoulli import bernoulli_oracle
-
-    value = Fraction(faulhaber_polynomial(p, bernoulli_oracle).evaluate(k))
+    value = Fraction(_oracle_faulhaber(p).evaluate(k))
     if value.denominator != 1:
         raise ConsistencyError(f"closed form gave non-integer h({p},{k}) = {value}")
     return value

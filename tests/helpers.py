@@ -12,12 +12,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 import expsums
 from expsums import CyclotomicElement, Polynomial
+from expsums.compositions import enumerate_chains
 
 
 def pascal_binomial(n: int, r: int) -> int:
@@ -35,6 +37,46 @@ def factorial_multinomial(n: int, parts) -> int:
     for p in parts:
         denom *= math.factorial(p)
     return math.factorial(n) // denom
+
+
+def schoolbook_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Polynomial product with one Fraction multiply and add per pair of
+    coefficients; labelled like ``a``."""
+    out = [Fraction(0)] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += Fraction(x) * y
+    return Polynomial(out, var=a.var)
+
+
+def lagrange_cubic(points, var: str = "x") -> Polynomial:
+    """Lagrange interpolation in O(n^3): every basis polynomial rebuilt from
+    n - 1 schoolbook products, weights and sums in Fraction arithmetic."""
+    xs = [Fraction(x) for x, _ in points]
+    total = [Fraction(0)] * len(xs)
+    for i, (_, yi) in enumerate(points):
+        basis, denom = Polynomial((1,), var=var), Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = schoolbook_product(basis, Polynomial((-xj, 1), var=var))
+                denom *= xs[i] - xj
+        for d, c in enumerate(basis.coeffs):
+            total[d] += c * Fraction(yi) / denom
+    return Polynomial(total, var=var)
+
+
+def akiyama_tanigawa_bernoulli(nmax: int) -> list[Fraction]:
+    """B_0..B_nmax by the Akiyama-Tanigawa triangle, under B_1 = -1/2 (the
+    triangle itself gives +1/2)."""
+    row, out = [], []
+    for m in range(nmax + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    if nmax >= 1:
+        out[1] = -out[1]
+    return out
 
 
 def brute_totient(k: int) -> int:
@@ -113,11 +155,18 @@ def prop1_residual_termwise(p: int, k: int, m: int, binom=math.comb) -> Cyclotom
 
 
 # Perturbed binomials for mutation tests: each breaks the identities checked
-# in expsums.exp_sums when patched over its ``binomial``.
+# in expsums.exp_sums when patched over its ``binomial``; "flip-r1-sign" also
+# breaks the closed forms that Bernoulli retrieval matches (expsums.power_sums).
 PERTURBED_BINOMIALS = {
     "drop-a0-term": lambda n, r: 0 if r == 0 else math.comb(n, r),
     "flip-r1-sign": lambda n, r: -math.comb(n, r) if r == 1 else math.comb(n, r),
 }
+
+
+def chains_without_the_empty_one(upper: int, lower: int, length=None):
+    """``enumerate_chains`` minus its first chain, the empty one: a perturbed
+    chain side for the coeffs gate (every a >= 1 sum loses C(p, p-a))."""
+    return enumerate_chains(upper, lower, length)[1:]
 
 
 def run_cli(args: list[str]) -> tuple[int, bytes, bytes]:

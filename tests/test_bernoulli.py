@@ -5,12 +5,14 @@ import pytest
 
 from expsums import bernoulli, power_sums
 from expsums import (
+    ConsistencyError,
     bernoulli_oracle,
     bernoulli_table,
     h_polynomial,
     retrieve_bernoulli,
     retrieve_bernoulli_detail,
 )
+from helpers import PERTURBED_BINOMIALS, akiyama_tanigawa_bernoulli
 
 # Classical table under the B_1 = -1/2 convention.
 KNOWN = {
@@ -45,8 +47,11 @@ class TestOracle:
     def test_defining_recurrence_holds(self):
         from expsums import binomial
 
-        for n in range(1, 20):
+        for n in range(1, 121):
             assert sum(binomial(n + 1, j) * bernoulli_oracle(j) for j in range(n + 1)) == 0
+
+    def test_matches_akiyama_tanigawa(self):
+        assert [bernoulli_oracle(n) for n in range(121)] == akiyama_tanigawa_bernoulli(120)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -117,18 +122,6 @@ class TestTable:
             bernoulli_table(-1)
 
 
-@pytest.fixture
-def cold_closed_forms():
-    # Empty the shared closed-form memo and the retrieval memo before and
-    # after, so no other test sees the polynomials built here.
-    caches = (power_sums._closed_form, bernoulli._retrieve_detail)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
 class TestSharedClosedForms:
     def test_retrieval_never_reads_oracle_closed_forms(self, cold_closed_forms, monkeypatch):
         # Fill the shared memo through h_polynomial from a deliberately wrong
@@ -169,3 +162,15 @@ class TestSharedClosedForms:
         assert [table[n] for n in range(31)] == [bernoulli_oracle(n) for n in range(31)]
         assert calls["odd_recurrence_polynomial"] <= 31
         assert calls["faulhaber_polynomial"] <= 46
+
+
+class TestGatesCanFail:
+    def test_flipped_binomial_breaks_retrieval(self, cold_closed_forms, monkeypatch):
+        # C(p, 1) with the wrong sign enters both the recurrence and
+        # Faulhaber's form; retrieval's full-coefficient comparison must
+        # refuse B_2, with no help from the table's oracle cross-check.
+        monkeypatch.setattr(power_sums, "binomial", PERTURBED_BINOMIALS["flip-r1-sign"])
+        with pytest.raises(ConsistencyError):
+            retrieve_bernoulli(2)
+        with pytest.raises(ConsistencyError):
+            bernoulli_table(8)

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from expsums import dirichlet, exp_sums
+from expsums import dirichlet, exp_sums, power_sums
 from expsums.cli import emit_report, main
-from helpers import CLI_CASES, PERTURBED_BINOMIALS, run_cli
+from helpers import CLI_CASES, PERTURBED_BINOMIALS, chains_without_the_empty_one, run_cli
 
 
 def run(capsys, *args):
@@ -206,6 +206,21 @@ class TestGatesCanFail:
         status, out, _ = run(capsys, *command)
         assert status == 1
         assert out.splitlines()[-1 if command[1] == "alkan" else 0].startswith("FAIL (")
+
+    def test_perturbed_chains_fail_coeffs(self, capsys, monkeypatch):
+        monkeypatch.setattr(exp_sums, "enumerate_chains", chains_without_the_empty_one)
+        status, out, _ = run(capsys, "verify", "coeffs", "--pmax", "4")
+        assert status == 1
+        assert out.startswith("FAIL (14 of 18 cases failed)\n")
+
+    def test_self_check_is_one_error_line(self, cold_closed_forms, capsys, monkeypatch):
+        # The retrieval's own consistency check fires: exit 1, no traceback.
+        monkeypatch.setattr(power_sums, "binomial", PERTURBED_BINOMIALS["flip-r1-sign"])
+        status, out, err = run(capsys, "bernoulli", "--table", "8")
+        assert status == 1
+        assert out == ""
+        assert err == ("error: retrieval of B_2: polynomials disagree beyond the "
+                       "solved coefficient\n")
 
     def test_zero_right_hand_side_is_reported(self, capsys, monkeypatch):
         # Dropping the q = 0 term empties the r = 1 sum.

@@ -12,14 +12,23 @@ from expsums import (
     cyclo_root_power,
     cyclotomic_polynomial,
     format_rational,
+    h_naive,
     multinomial,
     parse_rational,
     poly_coefficient,
     polynomial_from_points,
 )
-from helpers import brute_totient, pascal_binomial
+from helpers import brute_totient, lagrange_cubic, pascal_binomial, schoolbook_product
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+# Mixed int/Fraction coefficients (zeros, negatives, large denominators), and
+# all-integer ones; an empty or all-zero list is the zero polynomial.
+coefficient_lists = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), max_size=8),
+    st.lists(st.one_of(st.integers(-50, 50), rationals,
+                       st.fractions(max_denominator=10**12)), max_size=8),
+)
+polynomials = st.builds(Polynomial, coefficient_lists, var=st.sampled_from(["x", "k"]))
 
 
 class TestBinomial:
@@ -109,6 +118,14 @@ class TestPolynomial:
         assert 2 * p == Polynomial([2, 2])
         assert p / 2 == Polynomial([Fraction(1, 2), Fraction(1, 2)])
 
+    @given(polynomials, polynomials)
+    def test_product_matches_schoolbook(self, a, b):
+        got = a * b
+        assert got == schoolbook_product(a, b)
+        assert got.var == a.var
+        # Canonical scalars: an int wherever the denominator divides.
+        assert all(type(c) is int or c.denominator > 1 for c in got.coeffs)
+
     @given(st.lists(rationals, max_size=6), st.lists(rationals, max_size=6))
     def test_add_sub_round_trip(self, a, b):
         pa, pb = Polynomial(a), Polynomial(b)
@@ -145,6 +162,17 @@ class TestPolynomial:
         assert polynomial_from_points(pts) == Polynomial([1, 0, 1])
         with pytest.raises(ValueError):
             polynomial_from_points([(0, 1), (0, 2)])
+
+    @given(st.lists(rationals, max_size=12, unique=True), st.data())
+    def test_interpolation_matches_lagrange_reference(self, xs, data):
+        ys = data.draw(st.lists(rationals, min_size=len(xs), max_size=len(xs)))
+        points = list(zip(xs, ys))
+        assert polynomial_from_points(points, var="k") == lagrange_cubic(points, var="k")
+
+    @pytest.mark.parametrize("n", [0, 2, 8, 16, 30])
+    def test_interpolation_of_the_retrieval_shape(self, n):
+        points = [(t, h_naive(n, t)) for t in range(n + 2)]
+        assert polynomial_from_points(points, var="k") == lagrange_cubic(points, var="k")
 
 
 class TestPolyCoefficient:

@@ -21,7 +21,7 @@ from expsums import (
     run_prop1_exact,
     run_prop1_float,
 )
-from helpers import PERTURBED_BINOMIALS, prop1_residual_termwise
+from helpers import PERTURBED_BINOMIALS, chains_without_the_empty_one, prop1_residual_termwise
 
 
 class TestQuery:
@@ -277,6 +277,17 @@ class TestGatesCanFail:
         if perturbation == "drop-a0-term":
             assert len(sweep.failures) == 4 * 7
         assert all(r["detail"].startswith("nonzero residual ") for r in sweep.failures)
+
+    def test_coeffs_reports_failures(self, monkeypatch):
+        # Only the chain side is perturbed: every chain sum with a >= 1 loses
+        # its empty-chain term and every chain count falls short by one.
+        monkeypatch.setattr(exp_sums, "enumerate_chains", chains_without_the_empty_one)
+        sweep = run_coefficient_check(4)
+        assert sweep.cases == 18
+        assert [r["case"] for r in sweep.failures] == [
+            f"p={p} {what}" for p in range(1, 5)
+            for what in [f"a={a}" for a in range(1, p + 1)] + ["chain count"]
+        ]
 
     @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
     def test_prop1_float_reports_failures(self, monkeypatch, perturbation):

@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from expsums import power_sums
 from expsums import (
     ParityError,
     Polynomial,
@@ -54,7 +56,31 @@ class TestRecurrence:
                 assert h_recurrence(p, k) == h_naive(p, k)
 
 
+@pytest.fixture
+def cold_evaluators():
+    # Empty the per-(p, k) and per-p memos before and after the sweep.
+    caches = (power_sums.h_recurrence, power_sums.h_faulhaber, power_sums._oracle_faulhaber)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 class TestFaulhaber:
+    def test_k_sweep_builds_each_closed_form_once(self, cold_evaluators, monkeypatch):
+        builds = Counter()
+        original = power_sums.faulhaber_polynomial
+
+        def counted(p, bern):
+            builds[p] += 1
+            return original(p, bern)
+
+        monkeypatch.setattr(power_sums, "faulhaber_polynomial", counted)
+        for k in range(200):
+            assert h_recurrence(41, k) == h_naive(41, k)
+        assert builds == Counter(range(2, 41, 2))
+
     def test_linear_case(self):
         for k in range(20):
             assert h_faulhaber(1, k) == Fraction(k * (k + 1), 2)
