@@ -5,7 +5,9 @@ Subcommands: powersum, bernoulli, compositions, characters, verify
 exit status is 0 on success or PASS, 1 when a verification records a FAIL
 or an internal self-check fires (one "error:" line on stderr), 2 on usage
 errors.  Exact values print as rationals ("a/b"); the character
-and L-series subcommands print 12 significant digits.
+and L-series subcommands print 12 significant digits.  ``compositions``
+writes its rows as it enumerates them.  When the reader closes stdout early
+(``| head``), the run stops with exit status 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Iterable
 
@@ -149,18 +152,20 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_compositions(args) -> int:
+    # Rows are written as they are enumerated, in constant memory.  str() of
+    # an int list is byte-equal to its json.dumps, and sort_keys puts
+    # "compositions" first, so the JSON object is written around the stream.
     _cap(args.n, comps.COMPOSITION_LIMIT, "--n")
-    if args.length is not None:
-        items = comps.enumerate_compositions_length(args.n, args.length)
-    else:
-        items = comps.enumerate_compositions(args.n)
-    parts = [list(c.parts) for c in items]
-    if args.json:
-        _print_json({"compositions": parts, "count": len(parts),
-                     "length": args.length, "n": args.n})
-    else:
-        for row in parts:
-            print(json.dumps(row))
+    rows = comps._part_tuples(args.n, args.length)  # raises before any output
+    out = sys.stdout
+    if not args.json:
+        out.writelines(f"{list(parts)}\n" for parts in rows)
+        return 0
+    out.write(f'{{"compositions": [{list(next(rows))}')
+    count = 1
+    for count, parts in enumerate(rows, 2):
+        out.write(f", {list(parts)}")
+    out.write(f'], "count": {count}, "length": {json.dumps(args.length)}, "n": {args.n}}}\n')
     return 0
 
 
@@ -358,4 +363,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe must show up here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Python flushes stdout again
+        # at exit, so point it at devnull first; then exit 1 as for EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)

@@ -5,6 +5,12 @@ A composition of n is an ordered tuple of positive parts summing to n; there
 are 2^(n-1) of them.  Strictly decreasing chains drawn from an open integer
 interval are in bijection with compositions (subtract consecutive entries),
 and that bijection is implemented once with an explicit ``lower`` endpoint.
+
+Enumeration is lazy: one private generator yields the part tuples of the
+compositions (one lexicographic successor step at a time) and another the
+index tuples of the chains.  The public ``enumerate_*`` functions build their
+lists of validated objects from those generators; the CLI stream, the
+brute-force coefficient and the chain sums read the tuples directly.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import SizeLimitError
 from .exact import Scalar
@@ -70,49 +76,67 @@ class DecreasingChain:
         return len(self.indices)
 
 
-def enumerate_compositions(n: int) -> list[Composition]:
-    """All 2^(n-1) compositions of n in lexicographic order of parts."""
+def _part_tuples(n: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The compositions of n, or those with exactly m parts, as part tuples
+    in lexicographic order.
+
+    The arguments are checked when this is called, so a caller can validate
+    before it consumes (or writes) anything; the tuples themselves are
+    produced lazily, one at a time.
+    """
     if n < 1:
         raise ValueError(f"compositions are defined for n >= 1, got {n}")
-    if n > COMPOSITION_LIMIT:
-        raise SizeLimitError(
-            f"n={n} exceeds the composition enumeration limit {COMPOSITION_LIMIT} "
-            f"(2^(n-1) compositions)"
-        )
-    out: list[Composition] = []
-
-    def rec(remaining: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(Composition(prefix, n))
-            return
-        for first in range(1, remaining + 1):
-            rec(remaining - first, prefix + (first,))
-
-    rec(n, ())
-    return out
-
-
-def enumerate_compositions_length(n: int, m: int) -> list[Composition]:
-    """All compositions of n with exactly m parts, lexicographic order."""
-    if n < 1:
-        raise ValueError(f"compositions are defined for n >= 1, got {n}")
-    if m < 1 or m > n:
+    if m is not None and (m < 1 or m > n):
         raise ValueError(f"length m must satisfy 1 <= m <= n, got m={m}, n={n}")
     if n > COMPOSITION_LIMIT:
         raise SizeLimitError(
             f"n={n} exceeds the composition enumeration limit {COMPOSITION_LIMIT}"
+            + (" (2^(n-1) compositions)" if m is None else "")
         )
-    out: list[Composition] = []
+    return _lex_successors(n, m)
 
-    def rec(remaining: int, parts_left: int, prefix: tuple[int, ...]):
-        if parts_left == 1:
-            out.append(Composition(prefix + (remaining,), n))
+
+def _lex_successors(n: int, m: int | None) -> Iterator[tuple[int, ...]]:
+    # Lexicographic successor: [..., P, L] -> [..., P+1] followed by L-1
+    # units, as ones when the length is free.  With m parts fixed, the units
+    # fill the missing parts as ones and the last part takes the rest; when
+    # they are too few for that, the tail first takes in parts to its left.
+    parts = [1] * n if m is None else [1] * (m - 1) + [n - m + 1]
+    while True:
+        yield tuple(parts)
+        rest = parts.pop()
+        if m is not None:
+            while parts and rest <= m - len(parts):
+                rest += parts.pop()
+        if not parts:
             return
-        for first in range(1, remaining - parts_left + 2):
-            rec(remaining - first, parts_left - 1, prefix + (first,))
+        parts[-1] += 1
+        if m is None:
+            parts += [1] * (rest - 1)
+        else:
+            need = m - len(parts)
+            parts += [1] * (need - 1)
+            parts.append(rest - need)
 
-    rec(n, m, ())
-    return out
+
+def enumerate_compositions(n: int) -> list[Composition]:
+    """All 2^(n-1) compositions of n in lexicographic order of parts."""
+    return [Composition(parts, n) for parts in _part_tuples(n)]
+
+
+def enumerate_compositions_length(n: int, m: int) -> list[Composition]:
+    """All compositions of n with exactly m parts, lexicographic order."""
+    return [Composition(parts, n) for parts in _part_tuples(n, m)]
+
+
+def _chain_tuples(upper: int, lower: int, length: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The index tuples of :func:`enumerate_chains`, in its order, produced
+    lazily; the interval is checked when this is called."""
+    if lower < 0 or upper <= lower:
+        raise ValueError(f"need 0 <= lower < upper, got lower={lower} upper={upper}")
+    interval = range(lower + 1, upper)
+    lengths = range(len(interval) + 1) if length is None else [length]
+    return (combo[::-1] for r in lengths for combo in itertools.combinations(interval, r))
 
 
 def enumerate_chains(upper: int, lower: int, length: int | None = None) -> list[DecreasingChain]:
@@ -122,15 +146,8 @@ def enumerate_chains(upper: int, lower: int, length: int | None = None) -> list[
     the empty chain comes first.  There are 2^(upper-lower-1) in total and
     C(upper-lower-1, r) of each length r.
     """
-    if lower < 0 or upper <= lower:
-        raise ValueError(f"need 0 <= lower < upper, got lower={lower} upper={upper}")
-    interval = range(lower + 1, upper)
-    lengths = range(len(interval) + 1) if length is None else [length]
-    out = []
-    for r in lengths:
-        for combo in itertools.combinations(interval, r):
-            out.append(DecreasingChain(tuple(reversed(combo)), upper, lower))
-    return out
+    return [DecreasingChain(indices, upper, lower)
+            for indices in _chain_tuples(upper, lower, length)]
 
 
 def chain_to_composition(chain: DecreasingChain) -> Composition:
@@ -194,9 +211,9 @@ def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
         )
     us = _padded(u, n)
     total = Fraction(0)
-    for comp in enumerate_compositions(n):
+    for parts in _part_tuples(n):
         prod = Fraction(1)
-        for part in comp.parts:
+        for part in parts:
             prod *= us[part - 1]
         total += prod
     return total

@@ -34,7 +34,7 @@ import cmath
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .compositions import enumerate_chains
+from .compositions import _chain_tuples
 from .errors import PreconditionError
 from .exact import CyclotomicElement, Polynomial, binomial
 
@@ -215,12 +215,12 @@ def chain_coefficient_sum(p: int, a: int) -> int:
 def _chain_sum(p: int, a: int) -> tuple[int, int]:
     # The chain sum for 1 <= a <= p and the number of chains it ran over.
     total = count = 0
-    for chain in enumerate_chains(p, p - a):
-        seq = (p,) + chain.indices + (p - a,)
+    for indices in _chain_tuples(p, p - a):
+        seq = (p,) + indices + (p - a,)
         prod = 1
         for hi, lo in zip(seq, seq[1:]):
             prod *= binomial(hi, lo)
-        total += (-1) ** (p + chain.length + 1) * prod
+        total += (-1) ** (p + len(indices) + 1) * prod
         count += 1
     return total, count
 

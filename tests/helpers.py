@@ -164,21 +164,26 @@ PERTURBED_BINOMIALS = {
 
 
 def chains_without_the_empty_one(upper: int, lower: int, length=None):
-    """``enumerate_chains`` minus its first chain, the empty one: a perturbed
+    """The chain index tuples minus the first, the empty chain: a perturbed
     chain side for the coeffs gate (every a >= 1 sum loses C(p, p-a))."""
-    return enumerate_chains(upper, lower, length)[1:]
+    return [c.indices for c in enumerate_chains(upper, lower, length)[1:]]
 
 
-def run_cli(args: list[str]) -> tuple[int, bytes, bytes]:
-    """Run the CLI in a fresh interpreter on the same package the tests
-    import; returns (exit, stdout, stderr)."""
+def cli_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports the same package
+    the tests import."""
     env = dict(os.environ)
     src = str(Path(expsums.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(args: list[str]) -> tuple[int, bytes, bytes]:
+    """Run the CLI in a fresh interpreter; returns (exit, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-m", "expsums", *args],
         capture_output=True,
-        env=env,
+        env=cli_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 

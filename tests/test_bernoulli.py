@@ -174,3 +174,8 @@ class TestGatesCanFail:
             retrieve_bernoulli(2)
         with pytest.raises(ConsistencyError):
             bernoulli_table(8)
+        # At n = 1 the solved coefficient is the only one, and the flip cancels
+        # out of it: retrieval returns the true polynomials and +1/2, so only
+        # the table's oracle cross-check can refuse.
+        with pytest.raises(ConsistencyError, match="B_1 = 1/2 disagrees with the oracle"):
+            bernoulli_table(1)

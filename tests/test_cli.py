@@ -1,10 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
 from expsums import dirichlet, exp_sums, power_sums
 from expsums.cli import emit_report, main
-from helpers import CLI_CASES, PERTURBED_BINOMIALS, chains_without_the_empty_one, run_cli
+from helpers import (
+    CLI_CASES,
+    PERTURBED_BINOMIALS,
+    bitmask_compositions,
+    chains_without_the_empty_one,
+    cli_env,
+    run_cli,
+)
 
 
 def run(capsys, *args):
@@ -99,6 +110,37 @@ class TestCompositions:
         status, _, err = run(capsys, "compositions", "--n", "30")
         assert status == 2
         assert "--n" in err
+
+    def test_streamed_bytes_match_json_dumps(self, capsys):
+        # The rows are written as they are enumerated; the bytes must be those
+        # of json.dumps over the whole list, which an independent oracle gives.
+        for n in range(1, 13):
+            every = bitmask_compositions(n)
+            for length in [None, *range(1, n + 1)]:
+                rows = [list(p) for p in every if length is None or len(p) == length]
+                argv = ["compositions", "--n", str(n)]
+                if length is not None:
+                    argv += ["--length", str(length)]
+                assert run(capsys, *argv) == (
+                    0, "".join(json.dumps(row) + "\n" for row in rows), "")
+                payload = {"compositions": rows, "count": len(rows),
+                           "length": length, "n": n}
+                assert run(capsys, *argv, "--json") == (
+                    0, json.dumps(payload, sort_keys=True) + "\n", "")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_memory_does_not_grow_with_the_output(self, monkeypatch, flags):
+        # 2^15 rows; a list of them alone would take several megabytes.
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                status = main(["compositions", "--n", "16", *flags])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert status == 0
+        assert peak < 1 << 20
 
 
 class TestCharacters:
@@ -208,7 +250,7 @@ class TestGatesCanFail:
         assert out.splitlines()[-1 if command[1] == "alkan" else 0].startswith("FAIL (")
 
     def test_perturbed_chains_fail_coeffs(self, capsys, monkeypatch):
-        monkeypatch.setattr(exp_sums, "enumerate_chains", chains_without_the_empty_one)
+        monkeypatch.setattr(exp_sums, "_chain_tuples", chains_without_the_empty_one)
         status, out, _ = run(capsys, "verify", "coeffs", "--pmax", "4")
         assert status == 1
         assert out.startswith("FAIL (14 of 18 cases failed)\n")
@@ -286,6 +328,34 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         status, _, _ = run(capsys, "--help")
         assert status == 0
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "0"], "compositions are defined for n >= 1, got 0"),
+        (["--n", "25"], "--n=25 exceeds the supported cap 24; lower --n"),
+        (["--n", "5", "--length", "0"], "length m must satisfy 1 <= m <= n, got m=0, n=5"),
+        (["--n", "5", "--length", "6"], "length m must satisfy 1 <= m <= n, got m=6, n=5"),
+    ])
+    def test_compositions_validate_before_any_output(self, capsys, args, message, json_flag):
+        assert run(capsys, "compositions", *args, *json_flag) == (2, "", f"error: {message}\n")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", [
+        ["compositions", "--n", "18"],
+        ["characters", "--k", "600"],
+    ], ids=["compositions", "characters"])
+    def test_closed_stdout_exits_1_without_traceback(self, command):
+        # The reader takes one line and closes the pipe, as ``| head -1`` does;
+        # the output is far larger than a pipe buffer, so a write must fail.
+        proc = subprocess.Popen([sys.executable, "-m", "expsums", *command],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=cli_env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert first.endswith(b"\n")
+        assert (proc.returncode, err) == (1, b"")
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from expsums import compositions
 from expsums import (
     Composition,
     DecreasingChain,
@@ -90,6 +91,24 @@ class TestEnumerationByLength:
             enumerate_compositions_length(5, 0)
         with pytest.raises(ValueError):
             enumerate_compositions_length(5, 6)
+
+
+class TestPartTuples:
+    def test_matches_bitmask_oracle_by_length(self):
+        for n in range(1, 13):
+            oracle = bitmask_compositions(n)
+            assert list(compositions._part_tuples(n)) == oracle
+            for m in range(1, n + 1):
+                assert list(compositions._part_tuples(n, m)) == [
+                    parts for parts in oracle if len(parts) == m]
+
+    def test_arguments_are_checked_at_the_call(self):
+        # Not at the first item: a streaming caller validates before output.
+        for args in [(0,), (25,), (5, 0), (5, 6)]:
+            with pytest.raises(ValueError):
+                compositions._part_tuples(*args)
+        with pytest.raises(ValueError):
+            compositions._chain_tuples(3, 3)
 
 
 class TestChainBijection:

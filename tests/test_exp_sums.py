@@ -2,7 +2,7 @@ import cmath
 
 import pytest
 
-from expsums import exp_sums
+from expsums import compositions, exp_sums
 from expsums import (
     ExpSumQuery,
     Polynomial,
@@ -200,11 +200,11 @@ class TestSweeps:
         enumerated = []
 
         def counted(p, q):
-            chains = enumerate_chains(p, q)
+            chains = list(compositions._chain_tuples(p, q))
             enumerated.append(len(chains))
             return chains
 
-        monkeypatch.setattr(exp_sums, "enumerate_chains", counted)
+        monkeypatch.setattr(exp_sums, "_chain_tuples", counted)
         sweep = run_coefficient_check(8)
         assert sweep.ok and sweep.cases == sum(p + 2 for p in range(1, 9))
         assert sum(enumerated) == sum(2**p - 1 for p in range(1, 9))
@@ -281,7 +281,7 @@ class TestGatesCanFail:
     def test_coeffs_reports_failures(self, monkeypatch):
         # Only the chain side is perturbed: every chain sum with a >= 1 loses
         # its empty-chain term and every chain count falls short by one.
-        monkeypatch.setattr(exp_sums, "enumerate_chains", chains_without_the_empty_one)
+        monkeypatch.setattr(exp_sums, "_chain_tuples", chains_without_the_empty_one)
         sweep = run_coefficient_check(4)
         assert sweep.cases == 18
         assert [r["case"] for r in sweep.failures] == [
