@@ -238,9 +238,14 @@ class SweepResult:
         return not self.failures
 
 
-def run_prop1_exact(pmax: int, kmax: int, m_span: int = 3) -> SweepResult:
+def _failure(case: str, detail: str) -> dict:
+    """One sweep failure record; every record a sweep keeps is a FAIL."""
+    return {"case": case, "status": "FAIL", "detail": detail}
+
+
+def run_prop1_exact(pmax: int, kmax: int) -> SweepResult:
     """Exact sweep: residual must be the zero residue for all 1 <= p <= pmax,
-    2 <= k <= kmax, 1 <= m <= m_span*k with k not dividing m.
+    2 <= k <= kmax, 1 <= m <= 3k with k not dividing m.
 
     The residual depends on m only through m mod k, so each class is
     evaluated once per (p, k) and every m in the range is counted (and, on
@@ -251,19 +256,14 @@ def run_prop1_exact(pmax: int, kmax: int, m_span: int = 3) -> SweepResult:
     for p in range(1, pmax + 1):
         for k in range(2, kmax + 1):
             by_class = [None] + [prop1_residual_cyclo(p, k, mm) for mm in range(1, k)]
-            for m in range(1, m_span * k + 1):
+            for m in range(1, 3 * k + 1):
                 if m % k == 0:
                     continue
                 cases += 1
                 res = by_class[m % k]
                 if not res.is_zero:
-                    failures.append(
-                        {
-                            "case": f"p={p} k={k} m={m}",
-                            "status": "FAIL",
-                            "detail": f"nonzero residue {res.residue}",
-                        }
-                    )
+                    failures.append(_failure(f"p={p} k={k} m={m}",
+                                             f"nonzero residue {res.residue}"))
     return SweepResult("prop1-exact", cases, tuple(failures))
 
 
@@ -289,13 +289,8 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
                                          _power_sums_complex(pmax, k, m))
                 res = _prop1_residual_float(p, k, *fg)
                 if not float_tolerance_ok(res, p, k, tol):
-                    failures.append(
-                        {
-                            "case": f"p={p} k={k} m={m}",
-                            "status": "FAIL",
-                            "detail": f"abs={res.absolute:.3e} rel={res.relative:.3e}",
-                        }
-                    )
+                    failures.append(_failure(f"p={p} k={k} m={m}",
+                                             f"abs={res.absolute:.3e} rel={res.relative:.3e}"))
     return SweepResult("prop1-float", cases, tuple(failures))
 
 
@@ -308,13 +303,7 @@ def run_eq3(pmax: int, kmax: int) -> SweepResult:
             cases += k
             res = eq3_residual_poly(p, k)
             if not res.is_zero:
-                failures.append(
-                    {
-                        "case": f"p={p} k={k}",
-                        "status": "FAIL",
-                        "detail": f"nonzero residual {res}",
-                    }
-                )
+                failures.append(_failure(f"p={p} k={k}", f"nonzero residual {res}"))
     return SweepResult("eq3", cases, tuple(failures))
 
 
@@ -336,20 +325,9 @@ def run_coefficient_check(pmax: int) -> SweepResult:
                 got, n_chains = _chain_sum(p, p)
             want = (-1) ** (p - a) * binomial(p, a)
             if got != want:
-                failures.append(
-                    {
-                        "case": f"p={p} a={a}",
-                        "status": "FAIL",
-                        "detail": f"chain sum {got}, closed form {want}",
-                    }
-                )
+                failures.append(_failure(f"p={p} a={a}", f"chain sum {got}, closed form {want}"))
         cases += 1
         if n_chains != 2 ** (p - 1):
-            failures.append(
-                {
-                    "case": f"p={p} chain count",
-                    "status": "FAIL",
-                    "detail": f"{n_chains} chains, expected {2 ** (p - 1)}",
-                }
-            )
+            failures.append(_failure(f"p={p} chain count",
+                                     f"{n_chains} chains, expected {2 ** (p - 1)}"))
     return SweepResult("coeffs", cases, tuple(failures))

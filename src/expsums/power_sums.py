@@ -4,7 +4,8 @@ The evaluators are a literal summation oracle, an odd-exponent halving
 recurrence (h appears on both sides of a binomial reflection and survives
 with factor 2 only when p is odd), the Bernoulli-number closed form, and
 symbolic closed-form polynomials in k.  All agree exactly; h(p, 0) = 0 and
-0^0 = 1 by convention.
+0^0 = 1 by convention.  The recurrence runs Horner's scheme in (k+1); the
+one memo, ``_closed_form``, holds a polynomial per exponent and Bernoulli source.
 """
 
 from __future__ import annotations
@@ -29,32 +30,31 @@ def faulhaber_polynomial(p: int, bern: Callable[[int], Fraction]) -> Polynomial:
 
         (1/(p+1)) * (k^(p+1) + sum_{j=1}^{p} (-1)^j C(p+1, j) B_j k^(p-j+1))
 
-    under the B_1 = -1/2 sign convention.
+    under the B_1 = -1/2 sign convention, filled into one coefficient list.
     """
     if p < 1:
         raise ValueError(f"faulhaber_polynomial requires p >= 1, got {p}")
-    poly = Polynomial.monomial(p + 1, var="k")
+    coeffs = [0] * (p + 1) + [1]
     for j in range(1, p + 1):
-        bj = bern(j)
-        if bj == 0:
-            continue
-        coeff = (-1) ** j * binomial(p + 1, j) * bj
-        poly = poly + Polynomial.monomial(p - j + 1, coeff, var="k")
-    return poly / (p + 1)
+        coeffs[p - j + 1] = (-1) ** j * binomial(p + 1, j) * bern(j)
+    return Polynomial(coeffs, var="k") / (p + 1)
 
 
 def odd_recurrence_polynomial(p: int, lower: Callable[[int], Polynomial]) -> Polynomial:
     """Closed form of h(p, .) for odd p from lower closed forms:
 
-        (1/2) * ((k+1)^p k + sum_{j=1}^{p-1} (-1)^j C(p, j) (k+1)^(p-j) h(j, k))
+        (1/2) * ((k+1)^p k + sum_{j=1}^{p-1} (-1)^j C(p, j) (k+1)^(p-j) h(j, k)),
+
+    in Horner form: acc = k, then acc <- acc (k+1) + (-1)^j C(p, j) h(j, .)
+    for j = 1..p-1 in turn, and the result is acc (k+1) / 2.
     """
     if p < 1 or p % 2 == 0:
         raise ParityError(f"the halving recurrence needs odd p >= 1, got {p}")
     kp1 = Polynomial((1, 1), var="k")
-    acc = (kp1**p) * Polynomial((0, 1), var="k")
+    acc = Polynomial((0, 1), var="k")
     for j in range(1, p):
-        acc = acc + (kp1 ** (p - j)) * lower(j) * ((-1) ** j * binomial(p, j))
-    return acc / 2
+        acc = acc * kp1 + lower(j) * ((-1) ** j * binomial(p, j))
+    return acc * kp1 / 2
 
 
 @lru_cache(maxsize=None)
@@ -80,33 +80,30 @@ def h_polynomial(p: int) -> Polynomial:
     return _closed_form(p, bernoulli_oracle)
 
 
-@lru_cache(maxsize=None)
-def _oracle_faulhaber(p: int) -> Polynomial:
-    """Faulhaber's closed form of h(p, .) from oracle Bernoulli numbers, built
-    once per p for every k."""
-    from .bernoulli import bernoulli_oracle
-
-    return faulhaber_polynomial(p, bernoulli_oracle)
-
-
-@lru_cache(maxsize=None)
-def h_faulhaber(p: int, k: int) -> Fraction:
-    """Evaluate the Bernoulli closed form; asserted integral, never truncated."""
-    if p < 1 or k < 0:
-        raise ValueError(f"h_faulhaber requires p >= 1 and k >= 0, got p={p}, k={k}")
-    value = Fraction(_oracle_faulhaber(p).evaluate(k))
+def _integral_value(poly: Polynomial, p: int, k: int) -> int:
+    """poly(k) as the power sum h(p, k); a non-integer value is a fault."""
+    value = Fraction(poly.evaluate(k))
     if value.denominator != 1:
         raise ConsistencyError(f"closed form gave non-integer h({p},{k}) = {value}")
-    return value
+    return value.numerator
 
 
-@lru_cache(maxsize=None)
+def h_faulhaber(p: int, k: int) -> Fraction:
+    """Evaluate the Bernoulli closed form, built from oracle Bernoulli numbers
+    on each call; asserted integral, never truncated."""
+    if p < 1 or k < 0:
+        raise ValueError(f"h_faulhaber requires p >= 1 and k >= 0, got p={p}, k={k}")
+    from .bernoulli import bernoulli_oracle
+
+    return Fraction(_integral_value(faulhaber_polynomial(p, bernoulli_oracle), p, k))
+
+
 def h_recurrence(p: int, k: int) -> int:
     """Evaluate h(p, k) through the odd-exponent halving recurrence.
 
-    Lower odd exponents recurse; lower even exponents come from the Bernoulli
-    closed form (the recurrence cannot produce them).  The final division by 2
-    must be exact.
+    Walks q = 1..p once, bottom-up: odd q by the recurrence (Horner's scheme
+    in k+1) over the values below q, even q from the shared closed form (the
+    recurrence cannot produce them).  Each division by 2 must be exact.
     """
     if p < 1:
         raise ValueError(f"h_recurrence requires p >= 1, got {p}")
@@ -114,14 +111,19 @@ def h_recurrence(p: int, k: int) -> int:
         raise ParityError(f"the halving recurrence is undefined for even p (got p={p})")
     if k < 0:
         raise ValueError(f"h_recurrence requires k >= 0, got {k}")
-    total = (k + 1) ** p * k
-    for j in range(1, p):
-        hj = h_recurrence(j, k) if j % 2 else int(h_faulhaber(j, k))
-        total += (-1) ** j * binomial(p, j) * (k + 1) ** (p - j) * hj
-    half, rem = divmod(total, 2)
-    if rem:
-        raise ConsistencyError(f"odd intermediate in h_recurrence({p},{k})")
-    return half
+    values = [k]  # h(0, k), never read
+    for q in range(1, p + 1):
+        if q % 2 == 0:
+            values.append(_integral_value(h_polynomial(q), q, k))
+            continue
+        total = k
+        for j in range(1, q):
+            total = total * (k + 1) + (-1) ** j * binomial(q, j) * values[j]
+        half, rem = divmod(total * (k + 1), 2)
+        if rem:
+            raise ConsistencyError(f"odd intermediate in h_recurrence({q},{k})")
+        values.append(half)
+    return values[p]
 
 
 def eq4_check(p: int, k: int) -> bool:

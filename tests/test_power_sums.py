@@ -1,3 +1,5 @@
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 from expsums import power_sums
 from expsums import (
+    ConsistencyError,
     ParityError,
     Polynomial,
     eq4_check,
@@ -13,6 +16,7 @@ from expsums import (
     h_polynomial,
     h_recurrence,
 )
+from helpers import PERTURBED_BINOMIALS, schoolbook_product
 
 
 def _k(coeffs):
@@ -55,20 +59,32 @@ class TestRecurrence:
             for k in range(13):
                 assert h_recurrence(p, k) == h_naive(p, k)
 
-
-@pytest.fixture
-def cold_evaluators():
-    # Empty the per-(p, k) and per-p memos before and after the sweep.
-    caches = (power_sums.h_recurrence, power_sums.h_faulhaber, power_sums._oracle_faulhaber)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
+    def test_polynomial_is_the_termwise_linear_map(self):
+        # Any lower forms, not only the true ones: the Horner form must equal
+        # (1/2)((k+1)^p k + sum_j (-1)^j C(p, j) (k+1)^(p-j) lower(j)) term by
+        # term, with the powers of (k+1) built by schoolbook products, and it
+        # must ask for lower(1..p-1) in ascending order.
+        rng = random.Random(20261018)
+        kp1 = _k([1, 1])
+        for p in range(1, 22, 2):
+            lower = {j: _k([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                            for _ in range(rng.randint(0, j + 2))])
+                     for j in range(1, p)}
+            powers = [_k([1])]
+            for _ in range(p):
+                powers.append(schoolbook_product(powers[-1], kp1))
+            want = schoolbook_product(powers[p], _k([0, 1]))
+            for j in range(1, p):
+                want = want + schoolbook_product(powers[p - j], lower[j]) * (
+                    (-1) ** j * math.comb(p, j))
+            asked = []
+            got = power_sums.odd_recurrence_polynomial(p, lambda j: asked.append(j) or lower[j])
+            assert got == want / 2
+            assert asked == list(range(1, p))
 
 
 class TestFaulhaber:
-    def test_k_sweep_builds_each_closed_form_once(self, cold_evaluators, monkeypatch):
+    def test_k_sweep_builds_each_closed_form_once(self, cold_closed_forms, monkeypatch):
         builds = Counter()
         original = power_sums.faulhaber_polynomial
 
@@ -137,6 +153,15 @@ class TestFourWayAgreement:
         for p in range(1, 13):
             for k in range(1, 51):
                 assert h_faulhaber(p, k) - h_faulhaber(p, k - 1) == k**p
+
+
+class TestGatesCanFail:
+    def test_flipped_binomial_breaks_exact_halving(self, cold_closed_forms, monkeypatch):
+        # C(p, 1) with the wrong sign leaves the q = 3 and q = 5 totals even
+        # but makes the q = 7 total odd, so the exact halving must refuse it.
+        monkeypatch.setattr(power_sums, "binomial", PERTURBED_BINOMIALS["flip-r1-sign"])
+        with pytest.raises(ConsistencyError, match=r"^odd intermediate in h_recurrence\(7,2\)$"):
+            h_recurrence(7, 2)
 
 
 class TestEq4Check:
