@@ -145,19 +145,21 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_compositions(args) -> int:
-    # Rows are written as they are enumerated, in constant memory.  str() of
-    # an int list is byte-equal to its json.dumps, and sort_keys puts
-    # "compositions" first, so the JSON object is written around the stream.
+    # Rows are written as they are enumerated, in constant memory.  A row is
+    # byte-equal to str() of its int list and to its json.dumps, built from
+    # a table of the part strings; sort_keys puts "compositions" first, so
+    # the JSON object is written around the stream.
     _cap(args.n, comps.COMPOSITION_LIMIT, "--n")
     rows = comps._part_tuples(args.n, args.length)  # raises before any output
+    digits = [str(i) for i in range(args.n + 1)]
     out = sys.stdout
     if not args.json:
-        out.writelines(f"{list(parts)}\n" for parts in rows)
+        out.writelines("[" + ", ".join([digits[x] for x in parts]) + "]\n" for parts in rows)
         return 0
-    out.write(f'{{"compositions": [{list(next(rows))}')
+    out.write('{"compositions": [[' + ", ".join([digits[x] for x in next(rows)]) + "]")
     count = 1
     for count, parts in enumerate(rows, 2):
-        out.write(f", {list(parts)}")
+        out.write(", [" + ", ".join([digits[x] for x in parts]) + "]")
     out.write(f'], "count": {count}, "length": {json.dumps(args.length)}, "n": {args.n}}}\n')
     return 0
 

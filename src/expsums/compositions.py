@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import SizeLimitError
-from .exact import Scalar
+from .exact import Scalar, _integer_numerators
 
 COMPOSITION_LIMIT = 24
 GESSEL_BRUTEFORCE_LIMIT = 20
@@ -200,7 +200,13 @@ def gessel_coefficient_series(u: Sequence[Scalar], n: int) -> Fraction:
 
 
 def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
-    """Same coefficient as a sum over all compositions of n of prod u_part."""
+    """Same coefficient as a sum over all compositions of n of prod u_part.
+
+    With u_i = N_i / D over the lcm D of the denominators of u_1..u_n, a
+    composition with m parts contributes prod N_part / D^m: the integer
+    products are summed per part count m, and the buckets are combined over
+    D^n once at the end.
+    """
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     if n == 0:
@@ -209,11 +215,11 @@ def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
         raise SizeLimitError(
             f"n={n} exceeds the brute-force limit {GESSEL_BRUTEFORCE_LIMIT}"
         )
-    us = _padded(u, n)
-    total = Fraction(0)
+    nums, den = _integer_numerators(_padded(u, n)[:n])
+    buckets = [0] * (n + 1)
     for parts in _part_tuples(n):
-        prod = Fraction(1)
+        prod = 1
         for part in parts:
-            prod *= us[part - 1]
-        total += prod
-    return total
+            prod *= nums[part - 1]
+        buckets[len(parts)] += prod
+    return Fraction(sum(b * den ** (n - m) for m, b in enumerate(buckets)), den**n)

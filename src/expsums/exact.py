@@ -211,7 +211,12 @@ class Polynomial:
         return result
 
     def __divmod__(self, den: "Polynomial"):
-        """Long division; quotient and remainder with deg(rem) < deg(den)."""
+        """Long division; quotient and remainder with deg(rem) < deg(den).
+
+        Each step subtracts only the nonzero lower coefficients of ``den``
+        (Phi_k is sparse), and the leading one, which would cancel the
+        current coefficient exactly, is not subtracted at all.
+        """
         if not isinstance(den, Polynomial):
             return NotImplemented
         if den.is_zero:
@@ -221,16 +226,18 @@ class Polynomial:
         if len(rem) <= ddeg:
             return Polynomial((), var=self.var), Polynomial(rem, var=self.var)
         lead = den.coeffs[-1]
+        lower = [(j, dc) for j, dc in enumerate(den.coeffs[:-1]) if dc]
         quot: list = [0] * (len(rem) - ddeg)
         for i in range(len(rem) - 1, ddeg - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
             factor = c if lead == 1 else Fraction(c) / Fraction(lead)
-            quot[i - ddeg] = factor
-            for j, dc in enumerate(den.coeffs):
-                rem[i - ddeg + j] = rem[i - ddeg + j] - factor * dc
-        return Polynomial(quot, var=self.var), Polynomial(rem, var=self.var)
+            shift = i - ddeg
+            quot[shift] = factor
+            for j, dc in lower:
+                rem[shift + j] -= factor * dc
+        return Polynomial(quot, var=self.var), Polynomial(rem[:ddeg], var=self.var)
 
     def __mod__(self, den: "Polynomial"):
         return divmod(self, den)[1]

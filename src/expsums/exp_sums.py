@@ -14,13 +14,21 @@ together with the periodicity-only reflection
 binomial chain sums that collapse the recursive expansion of the reflection
 into the single binomial coefficient in front of each k^a g(p-a).
 
-Both exact checks run on one kernel, ``_add_exponent_vector``, which adds
-c * sum_s s^p x^(e*s mod k) to an integer vector in Z[x]/(x^k - 1).  Each
-identity is linear in the sums, so a residual is accumulated as one such
-vector and, for prop1, reduced mod Phi_k once.  That equals reducing every
-term and adding the residues, because reduction Z[x]/(x^k - 1) ->
-Q[x]/Phi_k is a ring homomorphism and a reduced residue is canonical; the
-zero test is therefore unchanged.
+Each exact identity is linear in the sums, and every sum is
+sum_s w(s) x^(+-m*s mod k) for an integer weight w(s), so for fixed (p, k) a
+residual puts one integer weight per s on each frequency side: s^p at -m and
+G(s) = -sum_a (-1)^(p-a) C(p, a) k^a s^(p-a) at +m for prop1, and
+H(s) = s^p + sum_a (-1)^(p+a) C(p, a) k^(p-a) s^a at -m and -(-1)^p s^p at +m
+for the reflection.  These weight tables are built once per (p, k), from the
+module's ``binomial`` at call time, and one kernel, ``_scatter``, adds a table
+at one frequency to an integer vector in Z[x]/(x^k - 1): two scatters per
+residue class.  For prop1 the vector is reduced mod Phi_k once.  That equals
+reducing every term and adding the residues, because reduction
+Z[x]/(x^k - 1) -> Q[x]/Phi_k is a ring homomorphism and a reduced residue is
+canonical; the zero test is therefore unchanged.
+
+The chain sums multiply entries of one Pascal table, built from ``binomial``
+per call, along each chain of ``compositions._chain_tuples``.
 
 The floating sums share one kernel, ``_power_sums_complex``: the sums for
 every exponent 0..P at one frequency, in one pass over s.  The floating prop1
@@ -82,12 +90,12 @@ def exp_power_sum_complex(q: ExpSumQuery) -> complex:
     return _power_sums_complex(q.p, q.k, q.sign * q.m)[q.p]
 
 
-def _add_exponent_vector(vec: list[int], c: int, p: int, e: int) -> None:
-    """Add c * sum_{s=1}^{k-1} s^p x^(e*s mod k) to vec, the coefficient
+def _scatter(vec: list[int], weights: Sequence[int], e: int) -> None:
+    """Add sum_{s=1}^{k-1} weights[s] x^(e*s mod k) to vec, the coefficient
     vector of an element of Z[x]/(x^k - 1) with k = len(vec)."""
     k = len(vec)
     for s in range(1, k):
-        vec[(e * s) % k] += c * s**p
+        vec[e * s % k] += weights[s]
 
 
 def exp_power_sum_cyclo(q: ExpSumQuery) -> CyclotomicElement:
@@ -97,7 +105,7 @@ def exp_power_sum_cyclo(q: ExpSumQuery) -> CyclotomicElement:
     exponent vector in Z[x]/(x^k - 1) is reduced mod Phi_k once.
     """
     vec = [0] * q.k
-    _add_exponent_vector(vec, 1, q.p, q.sign * q.m)
+    _scatter(vec, [s**q.p for s in range(q.k)], q.sign * q.m)
     return CyclotomicElement(q.k, Polynomial(vec))
 
 
@@ -114,6 +122,37 @@ def _require_nondivisible(p: int, k: int, m: int) -> int:
     return mm
 
 
+def _poly_values(coeffs: Sequence[int], k: int) -> list[int]:
+    """The integer polynomial sum_j coeffs[j] s^j at s = 0..k-1, by Horner."""
+    table = []
+    for s in range(k):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * s + c
+        table.append(acc)
+    return table
+
+
+def _prop1_weights(p: int, k: int) -> tuple[list[int], list[int]]:
+    """The residual's weight tables for (p, k): s^p at frequency -m, and
+    G(s) = -sum_a (-1)^(p-a) C(p, a) k^a s^(p-a) at +m, for s = 0..k-1."""
+    g = [0] * (p + 1)
+    for a in range(p):
+        g[p - a] = -(-1) ** (p - a) * binomial(p, a) * k**a
+    return [s**p for s in range(k)], _poly_values(g, k)
+
+
+def _prop1_class_residual(p: int, k: int, mm: int,
+                          weights: tuple[list[int], list[int]]) -> CyclotomicElement:
+    # k^p plus one scatter per frequency, reduced mod Phi_k once.
+    at_minus, at_plus = weights
+    res = [0] * k
+    res[0] = k**p
+    _scatter(res, at_minus, -mm)
+    _scatter(res, at_plus, mm)
+    return CyclotomicElement(k, Polynomial(res))
+
+
 def prop1_residual_cyclo(p: int, k: int, m: int) -> CyclotomicElement:
     """f(p) minus its positive-frequency expansion, exactly in Q[x]/Phi_k.
 
@@ -125,12 +164,7 @@ def prop1_residual_cyclo(p: int, k: int, m: int) -> CyclotomicElement:
     instead of -1 and the identity breaks).
     """
     mm = _require_nondivisible(p, k, m)
-    res = [0] * k
-    res[0] = k**p
-    _add_exponent_vector(res, 1, p, -mm)
-    for a in range(p):
-        _add_exponent_vector(res, -(-1) ** (p - a) * binomial(p, a) * k**a, p - a, mm)
-    return CyclotomicElement(k, Polynomial(res))
+    return _prop1_class_residual(p, k, mm, _prop1_weights(p, k))
 
 
 class FloatResidual(NamedTuple):
@@ -176,15 +210,16 @@ def eq3_residual_poly(p: int, k: int) -> Polynomial:
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if k < 2:
         raise ValueError(f"modulus k must be >= 2, got {k}")
+    # H(s) at -m and -(-1)^p s^p at +m, as in the module docstring.
+    h = [(-1) ** (p + a) * binomial(p, a) * k ** (p - a) for a in range(p)] + [1]
+    at_minus = _poly_values(h, k)
+    at_plus = [-(-1) ** p * s**p for s in range(k)]
     worst = [0] * k
     worst_norm = -1
     for m in range(k):
-        # f(p) - (-1)^p g(p) - sum_a (-1)^(p+a+1) C(p, a) k^(p-a) f(a)
         res = [0] * k
-        _add_exponent_vector(res, 1, p, -m)
-        _add_exponent_vector(res, -(-1) ** p, p, m)
-        for a in range(p):
-            _add_exponent_vector(res, (-1) ** (p + a) * binomial(p, a) * k ** (p - a), a, -m)
+        _scatter(res, at_minus, -m)
+        _scatter(res, at_plus, m)
         norm = max(abs(c) for c in res)
         if norm > worst_norm:
             worst_norm = norm
@@ -213,14 +248,19 @@ def chain_coefficient_sum(p: int, a: int) -> int:
 
 
 def _chain_sum(p: int, a: int) -> tuple[int, int]:
-    # The chain sum for 1 <= a <= p and the number of chains it ran over.
+    # The chain sum for 1 <= a <= p and the number of chains it ran over:
+    # Pascal-table products along (p, i_1, ..., i_r, p - a), signed
+    # (-1)^(p+r+1), which is + when p + r is odd.
+    lower = p - a
+    pascal = [[binomial(n, r) for r in range(n + 1)] for n in range(p + 1)]
     total = count = 0
-    for indices in _chain_tuples(p, p - a):
-        seq = (p,) + indices + (p - a,)
-        prod = 1
-        for hi, lo in zip(seq, seq[1:]):
-            prod *= binomial(hi, lo)
-        total += (-1) ** (p + len(indices) + 1) * prod
+    for indices in _chain_tuples(p, lower):
+        prod, hi = 1, p
+        for lo in indices:
+            prod *= pascal[hi][lo]
+            hi = lo
+        prod *= pascal[hi][lower]
+        total += prod if (p + len(indices)) % 2 else -prod
         count += 1
     return total, count
 
@@ -255,7 +295,9 @@ def run_prop1_exact(pmax: int, kmax: int) -> SweepResult:
     failures = []
     for p in range(1, pmax + 1):
         for k in range(2, kmax + 1):
-            by_class = [None] + [prop1_residual_cyclo(p, k, mm) for mm in range(1, k)]
+            weights = _prop1_weights(p, k)
+            by_class = [None] + [_prop1_class_residual(p, k, mm, weights)
+                                 for mm in range(1, k)]
             for m in range(1, 3 * k + 1):
                 if m % k == 0:
                     continue

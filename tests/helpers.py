@@ -49,6 +49,21 @@ def schoolbook_product(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(out, var=a.var)
 
 
+def schoolbook_divmod(a: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Dense long division in Fraction arithmetic: every step subtracts the
+    whole divisor, zero coefficients included."""
+    rem = [Fraction(c) for c in a.coeffs]
+    dd = [Fraction(c) for c in d.coeffs]
+    n = len(dd) - 1
+    quot = [Fraction(0)] * max(len(rem) - n, 0)
+    for i in range(len(rem) - 1, n - 1, -1):
+        factor = rem[i] / dd[-1]
+        quot[i - n] = factor
+        for j in range(n + 1):
+            rem[i - n + j] -= factor * dd[j]
+    return Polynomial(quot, var=a.var), Polynomial(rem[:n], var=a.var)
+
+
 def lagrange_cubic(points, var: str = "x") -> Polynomial:
     """Lagrange interpolation in O(n^3): every basis polynomial rebuilt from
     n - 1 schoolbook products, weights and sums in Fraction arithmetic."""
@@ -152,6 +167,41 @@ def prop1_residual_termwise(p: int, k: int, m: int, binom=math.comb) -> Cyclotom
     for a in range(p):
         rhs = rhs + cyclo_sum(p - a, mm) * ((-1) ** (p - a) * binom(p, a) * k**a)
     return cyclo_sum(p, -mm) - rhs
+
+
+def eq3_residual_termwise(p: int, k: int, binom=math.comb) -> Polynomial:
+    """The reflection residual f(p) - (-1)^p g(p) - sum_a (-1)^(p+a+1)
+    C(p, a) k^(p-a) f(a) mod x^k - 1, one s^j vector per term, for every
+    frequency m in 0..k-1; the first residual of largest max-abs
+    coefficient.  ``binom`` lets a test apply the same perturbation as to
+    the package."""
+
+    def add_sum(vec: list[int], c: int, j: int, e: int) -> None:
+        for s in range(1, k):
+            vec[(e * s) % k] += c * s**j
+
+    worst, worst_norm = [], -1
+    for m in range(k):
+        res = [0] * k
+        add_sum(res, 1, p, -m)
+        add_sum(res, -((-1) ** p), p, m)
+        for a in range(p):
+            add_sum(res, (-1) ** (p + a) * binom(p, a) * k ** (p - a), a, -m)
+        norm = max(abs(c) for c in res)
+        if norm > worst_norm:
+            worst, worst_norm = res, norm
+    return Polynomial(worst)
+
+
+def chain_sum_reference(p: int, a: int, binom=math.comb) -> int:
+    """sum (-1)^(p+r+1) C(p, i_1) ... C(i_r, p-a) over the validated chains
+    of ``enumerate_chains(p, p-a)`` for 1 <= a <= p."""
+    total = 0
+    for chain in enumerate_chains(p, p - a):
+        seq = (p, *chain.indices, p - a)
+        total += (-1) ** (p + chain.length + 1) * math.prod(
+            binom(hi, lo) for hi, lo in zip(seq, seq[1:]))
+    return total
 
 
 # Perturbed binomials for mutation tests: each breaks the identities checked

@@ -18,7 +18,13 @@ from expsums import (
     poly_coefficient,
     polynomial_from_points,
 )
-from helpers import brute_totient, lagrange_cubic, pascal_binomial, schoolbook_product
+from helpers import (
+    brute_totient,
+    lagrange_cubic,
+    pascal_binomial,
+    schoolbook_divmod,
+    schoolbook_product,
+)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 # Mixed int/Fraction coefficients (zeros, negatives, large denominators), and
@@ -29,6 +35,17 @@ coefficient_lists = st.one_of(
                        st.fractions(max_denominator=10**12)), max_size=8),
 )
 polynomials = st.builds(Polynomial, coefficient_lists, var=st.sampled_from(["x", "k"]))
+# Divisors: dense mixed ones (mostly non-monic), and sparse ones with zero
+# interior coefficients -- x^n + c and Phi_k for k <= 64 -- scaled by a
+# nonzero rational.
+nonzero_rationals = st.one_of(st.integers(-50, 50), rationals).filter(lambda q: q != 0)
+divisors = st.one_of(
+    polynomials.filter(lambda d: not d.is_zero),
+    st.builds(lambda n, c, lead: Polynomial([c] + [0] * (n - 1) + [lead]),
+              st.integers(1, 40), rationals, nonzero_rationals),
+    st.builds(lambda k, lead: cyclotomic_polynomial(k) * lead,
+              st.integers(1, 64), nonzero_rationals),
+)
 
 
 class TestBinomial:
@@ -137,6 +154,16 @@ class TestPolynomial:
         q, r = divmod(num, den)
         assert r.is_zero
         assert q == cyclotomic_polynomial(6)
+
+    @given(st.lists(st.one_of(st.integers(-10**6, 10**6), rationals), max_size=90),
+           divisors)
+    def test_divmod_matches_dense_long_division(self, coeffs, den):
+        num = Polynomial(coeffs)
+        q, r = divmod(num, den)
+        assert (q, r) == schoolbook_divmod(num, den)
+        assert q * den + r == num
+        assert r.is_zero or r.degree < den.degree
+        assert num % den == r
 
     def test_exact_div_rejects_remainder(self):
         with pytest.raises(ConsistencyError):

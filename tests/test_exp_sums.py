@@ -21,7 +21,13 @@ from expsums import (
     run_prop1_exact,
     run_prop1_float,
 )
-from helpers import PERTURBED_BINOMIALS, chains_without_the_empty_one, prop1_residual_termwise
+from helpers import (
+    PERTURBED_BINOMIALS,
+    chain_sum_reference,
+    chains_without_the_empty_one,
+    eq3_residual_termwise,
+    prop1_residual_termwise,
+)
 
 
 class TestQuery:
@@ -248,6 +254,45 @@ class TestProp1TermwiseReference:
             assert str(got.residue) == str(want.residue), (p, k, m)
             nonzero += not got.is_zero
         assert nonzero > 0
+
+
+class TestEq3TermwiseReference:
+    def test_equals_termwise_reference(self):
+        for p in range(1, 6):
+            for k in range(2, 11):
+                assert eq3_residual_poly(p, k).coeffs == eq3_residual_termwise(p, k).coeffs, (p, k)
+
+    @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
+    def test_equals_termwise_reference_when_perturbed(self, monkeypatch, perturbation):
+        binom = PERTURBED_BINOMIALS[perturbation]
+        monkeypatch.setattr(exp_sums, "binomial", binom)
+        nonzero = 0
+        for p in range(1, 6):
+            for k in range(2, 11):
+                got = eq3_residual_poly(p, k)
+                assert got.coeffs == eq3_residual_termwise(p, k, binom).coeffs, (p, k)
+                nonzero += not got.is_zero
+        assert nonzero > 0
+
+
+class TestChainSumReference:
+    def test_equals_chain_reference(self):
+        for p in range(1, 13):
+            for a in range(1, p + 1):
+                assert chain_coefficient_sum(p, a) == chain_sum_reference(p, a), (p, a)
+
+    def test_pascal_table_reads_the_module_binomial(self, monkeypatch):
+        # The table is built from exp_sums.binomial when the sum runs, so a
+        # perturbation patched over it reaches every product.
+        binom = PERTURBED_BINOMIALS["flip-r1-sign"]
+        monkeypatch.setattr(exp_sums, "binomial", binom)
+        changed = 0
+        for p in range(1, 13):
+            for a in range(1, p + 1):
+                got = chain_coefficient_sum(p, a)
+                assert got == chain_sum_reference(p, a, binom), (p, a)
+                changed += got != chain_sum_reference(p, a)
+        assert changed > 0
 
 
 class TestGatesCanFail:
