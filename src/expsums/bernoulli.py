@@ -94,12 +94,7 @@ def _retrieve_detail(n: int) -> RetrievalDetail:
 
     def bern_with(value_n: Fraction):
         def bern(j: int) -> Fraction:
-            if j == n:
-                return value_n
-            if j > n:
-                # Only j = p = n+1 occurs here, an odd index >= 3: it vanishes.
-                return Fraction(0)
-            return _retrieved(j)
+            return value_n if j == n else _retrieved(j)
 
         return bern
 
@@ -153,10 +148,7 @@ def bernoulli_table(nmax: int) -> BernoulliTable:
         raise ValueError(f"bernoulli_table requires nmax >= 0, got {nmax}")
     values: dict[int, Fraction] = {0: Fraction(1)}
     for n in range(1, nmax + 1):
-        if n == 1 or n % 2 == 0:
-            values[n] = retrieve_bernoulli(n)
-        else:
-            values[n] = Fraction(0)
+        values[n] = _retrieved(n)
     for n, v in values.items():
         if v != bernoulli_oracle(n):
             raise ConsistencyError(f"table entry B_{n} = {v} disagrees with the oracle")

@@ -13,6 +13,7 @@ writes its rows as it enumerates them.  When the reader closes stdout early
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -51,6 +52,13 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
+def _verdict(n_fail: int, total: int, noun: str, note: str = "") -> tuple[str, int]:
+    """The tally line of a verify run and its exit status, 1 on any FAIL."""
+    if n_fail:
+        return f"FAIL ({n_fail} of {total} {noun} failed{note})", 1
+    return f"PASS ({total} {noun}{note})", 0
+
+
 def emit_report(records: Iterable[dict], mode: str, cases: int) -> tuple[str, int]:
     """Render verification records; returns (output, exit_status).
 
@@ -59,14 +67,10 @@ def emit_report(records: Iterable[dict], mode: str, cases: int) -> tuple[str, in
     case/status/detail).  Every record is a FAIL, and any forces exit status 1.
     """
     records = list(records)
-    n_fail = len(records)
-    status = 1 if n_fail else 0
+    tally, status = _verdict(len(records), cases, "cases")
     if mode == "json":
         return json.dumps(records, sort_keys=True), status
-    if n_fail:
-        lines = [f"FAIL ({n_fail} of {cases} cases failed)"]
-    else:
-        lines = [f"PASS ({cases} cases)"]
+    lines = [tally]
     for r in records:
         lines.append(f"  FAIL {r.get('case')}: {r.get('detail')}")
     return "\n".join(lines), status
@@ -78,14 +82,16 @@ def _print_json(obj) -> None:
 
 def _cmd_powersum(args) -> int:
     _cap(args.p, 64, "--p")
-    if args.k is not None and args.k < 0:
-        raise ValueError("--k must be >= 0")
-    if args.k is not None:
-        _cap(args.k, 1_000_000, "--k")
     method = args.method
+    if args.k is not None:
+        if args.k < 0:
+            raise ValueError("--k must be >= 0")
+        _cap(args.k, 1_000_000, "--k")
+    elif method != "poly":
+        raise ValueError(f"--method {method} requires --k")
+    if method in ("poly", "faulhaber") and args.p < 1:
+        raise ValueError(f"--method {method} requires --p >= 1")
     if method == "poly":
-        if args.p < 1:
-            raise ValueError("--method poly requires --p >= 1")
         poly = power_sums.h_polynomial(args.p)
         if args.k is None:
             if args.json:
@@ -96,18 +102,10 @@ def _cmd_powersum(args) -> int:
             return 0
         value = format_rational(poly.evaluate(args.k))
     elif method == "naive":
-        if args.k is None:
-            raise ValueError("--method naive requires --k")
         value = str(power_sums.h_naive(args.p, args.k))
     elif method == "recurrence":
-        if args.k is None:
-            raise ValueError("--method recurrence requires --k")
         value = str(power_sums.h_recurrence(args.p, args.k))
     else:
-        if args.k is None:
-            raise ValueError("--method faulhaber requires --k")
-        if args.p < 1:
-            raise ValueError("--method faulhaber requires --p >= 1")
         value = format_rational(power_sums.h_faulhaber(args.p, args.k))
     if args.json:
         _print_json({"k": args.k, "method": method, "p": args.p, "value": value})
@@ -170,14 +168,7 @@ def _cmd_characters(args) -> int:
     # The values are drawn from one table of roots of unity and 0j, so few
     # are distinct.  Equal complex values format alike here: no value has a
     # negative zero part, the one case where equal floats print differently.
-    formatted: dict[complex, str] = {}
-
-    def fmt(v: complex) -> str:
-        text = formatted.get(v)
-        if text is None:
-            text = formatted[v] = _fmt_complex(v)
-        return text
-
+    fmt = functools.lru_cache(maxsize=None)(_fmt_complex)
     if args.json:
         _print_json([
             {
@@ -237,6 +228,10 @@ def _cmd_verify_alkan(args) -> int:
     _cap(args.k, 200, "--k")
     reports = dirichlet.alkan_sweep(args.k, args.r, args.tol,
                                     include_imprimitive=args.include_imprimitive)
+    n_fail = sum(1 for rep in reports if rep.status == "FAIL")
+    n_skip = sum(1 for rep in reports if rep.status == "SKIPPED")
+    tally, status = _verdict(n_fail, len(reports) - n_skip, "characters",
+                             f", {n_skip} skipped" if n_skip else "")
     if args.json:
         _print_json([
             {
@@ -249,10 +244,7 @@ def _cmd_verify_alkan(args) -> int:
             }
             for rep in reports
         ])
-        return 1 if any(rep.status == "FAIL" for rep in reports) else 0
-    n_fail = sum(1 for rep in reports if rep.status == "FAIL")
-    n_skip = sum(1 for rep in reports if rep.status == "SKIPPED")
-    checked = len(reports) - n_skip
+        return status
     for rep in reports:
         if rep.ratio is None:
             print(f"chi_{rep.chi_index}: {rep.status} ({rep.reason})")
@@ -262,12 +254,8 @@ def _cmd_verify_alkan(args) -> int:
         if rep.status == "FAIL" and rep.reason:
             line += f" ({rep.reason})"
         print(line)
-    skip_note = f", {n_skip} skipped" if n_skip else ""
-    if n_fail:
-        print(f"FAIL ({n_fail} of {checked} characters failed{skip_note})")
-        return 1
-    print(f"PASS ({checked} characters{skip_note})")
-    return 0
+    print(tally)
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:

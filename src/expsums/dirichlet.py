@@ -356,6 +356,10 @@ class AlkanReport:
     error_bound: Optional[float] = None
 
 
+def _skipped(k: int, r: int, chi_index: int, reason: str) -> AlkanReport:
+    return AlkanReport(k, r, chi_index, None, None, None, None, "SKIPPED", reason)
+
+
 def _require_alkan_range(r: int, tol: float) -> None:
     if not 1 <= r <= 4:
         raise ValueError(f"the check is desk-scale only, need 1 <= r <= 4, got {r}")
@@ -381,8 +385,7 @@ def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
     if chi.principal:
         raise ValueError("the identity requires a non-principal character")
     if chi.parity != ("odd" if r % 2 else "even"):
-        return AlkanReport(chi.modulus, r, chi.index, None, None, None, None,
-                           "SKIPPED", "parity mismatch")
+        return _skipped(chi.modulus, r, chi.index, "parity mismatch")
     k = chi.modulus
     units = sum(1 for v in chi.values if v != 0)
     rhs = 0j
@@ -432,12 +435,11 @@ def alkan_sweep(k: int, r: int, tol: float,
     reports = []
     for chi in enumerate_characters(k):
         if chi.principal:
-            reports.append(AlkanReport(k, r, chi.index, None, None, None, None,
-                                       "SKIPPED", "principal character"))
+            reports.append(_skipped(k, r, chi.index, "principal character"))
             continue
         if not chi.primitive and not include_imprimitive:
-            reports.append(AlkanReport(k, r, chi.index, None, None, None, None,
-                                       "SKIPPED", f"imprimitive (conductor {chi.conductor})"))
+            reports.append(_skipped(k, r, chi.index,
+                                    f"imprimitive (conductor {chi.conductor})"))
             continue
         report = alkan_check(r, chi, tol)
         if not chi.primitive and report.status in ("PASS", "FAIL"):

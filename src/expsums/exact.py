@@ -75,6 +75,20 @@ def _ratio(num: int, den: int) -> Scalar:
     return Fraction(num, den) if r else q
 
 
+def _power(base, n: int, one, kind: str):
+    """base ** n by square-and-multiply, starting from the unit ``one``."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"{kind} power must be a non-negative integer")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class Polynomial:
     """Dense univariate polynomial over exact scalars.
 
@@ -86,10 +100,11 @@ class Polynomial:
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs: Iterable[Scalar] = (), var: str = "x"):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(coeffs)
+        end = len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", cs[:end])
         object.__setattr__(self, "var", var)
 
     def __setattr__(self, name, value):  # immutable after construction
@@ -198,17 +213,7 @@ class Polynomial:
         return self * inv
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power must be a non-negative integer")
-        result = Polynomial.one(var=self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, Polynomial.one(var=self.var), "polynomial")
 
     def __divmod__(self, den: "Polynomial"):
         """Long division; quotient and remainder with deg(rem) < deg(den).
@@ -441,17 +446,7 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("cyclotomic power must be a non-negative integer")
-        result = CyclotomicElement(self.modulus_k, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, CyclotomicElement(self.modulus_k, 1), "cyclotomic")
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicElement):

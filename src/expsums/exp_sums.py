@@ -20,10 +20,10 @@ residual puts one integer weight per s on each frequency side: s^p at -m and
 G(s) = -sum_a (-1)^(p-a) C(p, a) k^a s^(p-a) at +m for prop1, and
 H(s) = s^p + sum_a (-1)^(p+a) C(p, a) k^(p-a) s^a at -m and -(-1)^p s^p at +m
 for the reflection.  These weight tables are built once per (p, k), from the
-module's ``binomial`` at call time, and one kernel, ``_scatter``, adds a table
-at one frequency to an integer vector in Z[x]/(x^k - 1): two scatters per
-residue class.  For prop1 the vector is reduced mod Phi_k once.  That equals
-reducing every term and adding the residues, because reduction
+module's ``binomial`` at call time, and one kernel, ``_class_vector``, adds
+them at -m and +m (``_scatter``) to an integer vector in Z[x]/(x^k - 1), one
+vector per residue class.  For prop1 the vector is reduced mod Phi_k once.
+That equals reducing every term and adding the residues, because reduction
 Z[x]/(x^k - 1) -> Q[x]/Phi_k is a ring homomorphism and a reduced residue is
 canonical; the zero test is therefore unchanged.
 
@@ -109,11 +109,15 @@ def exp_power_sum_cyclo(q: ExpSumQuery) -> CyclotomicElement:
     return CyclotomicElement(q.k, Polynomial(vec))
 
 
-def _require_nondivisible(p: int, k: int, m: int) -> int:
+def _require_pk(p: int, k: int) -> None:
     if p < 1:
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if k < 2:
         raise ValueError(f"modulus k must be >= 2, got {k}")
+
+
+def _require_nondivisible(p: int, k: int, m: int) -> int:
+    _require_pk(p, k)
     mm = m % k
     if mm == 0:
         raise PreconditionError(
@@ -142,15 +146,22 @@ def _prop1_weights(p: int, k: int) -> tuple[list[int], list[int]]:
     return [s**p for s in range(k)], _poly_values(g, k)
 
 
+def _class_vector(k: int, constant: int, weights: tuple[list[int], list[int]],
+                  m: int) -> list[int]:
+    """One residue class's residual in Z[x]/(x^k - 1): the constant plus the
+    weight tables scattered at frequencies -m and +m."""
+    at_minus, at_plus = weights
+    vec = [0] * k
+    vec[0] = constant
+    _scatter(vec, at_minus, -m)
+    _scatter(vec, at_plus, m)
+    return vec
+
+
 def _prop1_class_residual(p: int, k: int, mm: int,
                           weights: tuple[list[int], list[int]]) -> CyclotomicElement:
-    # k^p plus one scatter per frequency, reduced mod Phi_k once.
-    at_minus, at_plus = weights
-    res = [0] * k
-    res[0] = k**p
-    _scatter(res, at_minus, -mm)
-    _scatter(res, at_plus, mm)
-    return CyclotomicElement(k, Polynomial(res))
+    # Reduced mod Phi_k once.
+    return CyclotomicElement(k, Polynomial(_class_vector(k, k**p, weights, mm)))
 
 
 def prop1_residual_cyclo(p: int, k: int, m: int) -> CyclotomicElement:
@@ -206,20 +217,14 @@ def eq3_residual_poly(p: int, k: int) -> Polynomial:
     every k-th root of unity including 1; the returned polynomial is zero when
     all k residuals vanish, otherwise the largest one.
     """
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
-    if k < 2:
-        raise ValueError(f"modulus k must be >= 2, got {k}")
+    _require_pk(p, k)
     # H(s) at -m and -(-1)^p s^p at +m, as in the module docstring.
     h = [(-1) ** (p + a) * binomial(p, a) * k ** (p - a) for a in range(p)] + [1]
-    at_minus = _poly_values(h, k)
-    at_plus = [-(-1) ** p * s**p for s in range(k)]
+    weights = (_poly_values(h, k), [-(-1) ** p * s**p for s in range(k)])
     worst = [0] * k
     worst_norm = -1
     for m in range(k):
-        res = [0] * k
-        _scatter(res, at_minus, -m)
-        _scatter(res, at_plus, m)
+        res = _class_vector(k, 0, weights, m)
         norm = max(abs(c) for c in res)
         if norm > worst_norm:
             worst_norm = norm

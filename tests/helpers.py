@@ -15,8 +15,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 import expsums
 from expsums import CyclotomicElement, Polynomial
 from expsums.compositions import enumerate_chains
@@ -127,6 +125,8 @@ def s_sum_double_loop(m: int, chi) -> complex:
 def l_reference(r: int, chi, N: int) -> complex:
     """Long plain truncation of sum chi(n)/n^r, coded independently (numpy
     over all n, character values by table lookup)."""
+    import numpy as np  # only this oracle needs numpy
+
     vals = np.array(chi.values, dtype=complex)
     total = 0j
     block = 1 << 21

@@ -65,6 +65,21 @@ class TestPowersum:
         assert status == 2
         assert "--k" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--p", "2", "--method", "naive"], "--method naive requires --k"),
+        (["--p", "3", "--method", "recurrence"], "--method recurrence requires --k"),
+        (["--p", "3", "--method", "faulhaber"], "--method faulhaber requires --k"),
+        (["--p", "0", "--method", "poly"], "--method poly requires --p >= 1"),
+        (["--p", "0", "--k", "3", "--method", "poly"], "--method poly requires --p >= 1"),
+        (["--p", "0", "--k", "3", "--method", "faulhaber"],
+         "--method faulhaber requires --p >= 1"),
+        # Both rules broken: the --k rule is checked first.
+        (["--p", "0", "--method", "faulhaber"], "--method faulhaber requires --k"),
+    ])
+    def test_method_argument_rules(self, capsys, args, message):
+        status, out, err = run(capsys, "powersum", *args)
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestBernoulli:
     def test_retrieve(self, capsys):
@@ -213,6 +228,20 @@ class TestVerify:
             assert status == 1
             assert "FAIL" in out
             assert "(tol 1e-18 is below the certifiable error " in out
+
+    def test_alkan_json_fail_exits_one(self, capsys):
+        status, out, _ = run(capsys, "verify", "alkan", "--k", "20", "--r", "2",
+                             "--tol", "1e-18", "--json")
+        payload = json.loads(out)
+        assert status == 1
+        assert [rec["chi_index"] for rec in payload if rec["status"] == "FAIL"] == [5, 7]
+        assert all(rec["status"] == "SKIPPED" for rec in payload
+                   if rec["chi_index"] not in (5, 7))
+
+    def test_alkan_tally_counts_skips(self, capsys):
+        status, out, _ = run(capsys, "verify", "alkan", "--k", "12", "--r", "2")
+        assert status == 0
+        assert out.endswith("\nPASS (1 characters, 3 skipped)\n")
 
     def test_guard_names_flag(self, capsys):
         status, _, err = run(capsys, "verify", "prop1", "--pmax", "99",

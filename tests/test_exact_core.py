@@ -115,6 +115,8 @@ class TestPolynomial:
     def test_trailing_zeros_trimmed(self):
         assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
         assert Polynomial([0, 0]).is_zero
+        assert Polynomial(iter([0, 3, Fraction(0), 0])).coeffs == (0, 3)
+        assert Polynomial((0, Fraction(1, 2))).coeffs == (0, Fraction(1, 2))
 
     def test_zero_degree_sentinel(self):
         assert Polynomial([]).degree is None
@@ -279,3 +281,14 @@ class TestCyclotomicElement:
         elem = CyclotomicElement(4, big)
         assert elem.residue.degree < cyclotomic_polynomial(4).degree
         assert elem == cyclo_root_power(4, 1) * 3
+
+
+class TestPower:
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    @pytest.mark.parametrize("value, kind", [
+        (Polynomial([1, 1]), "polynomial"),
+        (CyclotomicElement(5, Polynomial([1, 1])), "cyclotomic"),
+    ], ids=["polynomial", "cyclotomic"])
+    def test_rejects_exponent_outside_the_naturals(self, value, kind, n):
+        with pytest.raises(ValueError, match=f"^{kind} power must be a non-negative integer$"):
+            value ** n
