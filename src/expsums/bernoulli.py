@@ -77,12 +77,12 @@ def _retrieved(j: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _retrieve_detail(n: int) -> RetrievalDetail:
+def retrieve_bernoulli_detail(n: int) -> RetrievalDetail:
+    """Retrieval plus the two full polynomials, for auditing every coefficient."""
     if n < 1 or (n != 1 and n % 2 == 1):
-        raise ValueError(
-            f"retrieval is defined for n = 1 and even n >= 2, got n={n} "
-            f"(odd Bernoulli numbers beyond the first vanish; nothing to solve)"
-        )
+        note = (" (odd Bernoulli numbers beyond the first vanish; nothing to solve)"
+                if n >= 3 else "")
+        raise ValueError(f"retrieval is defined for n = 1 and even n >= 2, got n={n}{note}")
     p = 1 if n == 1 else n + 1
 
     # Lower closed forms come from retrieved B_j, j < n; at j = n the
@@ -117,12 +117,7 @@ def _retrieve_detail(n: int) -> RetrievalDetail:
 
 def retrieve_bernoulli(n: int) -> Fraction:
     """Recover B_n (n = 1 or even) by matching power-sum closed forms."""
-    return _retrieve_detail(n).value
-
-
-def retrieve_bernoulli_detail(n: int) -> RetrievalDetail:
-    """Retrieval plus the two full polynomials, for auditing every coefficient."""
-    return _retrieve_detail(n)
+    return retrieve_bernoulli_detail(n).value
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,8 @@ def _cmd_compositions(args) -> int:
     # Rows are written as they are enumerated, in constant memory.  A row is
     # byte-equal to str() of its int list and to its json.dumps, built from
     # a table of the part strings; sort_keys puts "compositions" first, so
-    # the JSON object is written around the stream.
+    # the JSON object is written around the stream, and its count is the
+    # closed form 2^(n-1), or C(n-1, m-1) with m parts.
     _cap(args.n, comps.COMPOSITION_LIMIT, "--n")
     rows = comps._part_tuples(args.n, args.length)  # raises before any output
     digits = [str(i) for i in range(args.n + 1)]
@@ -155,9 +156,9 @@ def _cmd_compositions(args) -> int:
         out.writelines("[" + ", ".join([digits[x] for x in parts]) + "]\n" for parts in rows)
         return 0
     out.write('{"compositions": [[' + ", ".join([digits[x] for x in next(rows)]) + "]")
-    count = 1
-    for count, parts in enumerate(rows, 2):
-        out.write(", [" + ", ".join([digits[x] for x in parts]) + "]")
+    out.writelines(", [" + ", ".join([digits[x] for x in parts]) + "]" for parts in rows)
+    count = (2 ** (args.n - 1) if args.length is None
+             else math.comb(args.n - 1, args.length - 1))
     out.write(f'], "count": {count}, "length": {json.dumps(args.length)}, "n": {args.n}}}\n')
     return 0
 

@@ -7,7 +7,9 @@ tuple and degree ``None``.  A product of polynomials clears each operand to
 integer numerators over one common denominator, convolves the integers and
 reduces each output coefficient once, instead of paying a gcd per ``Fraction``
 term.  ``CyclotomicElement`` is a residue in Q[x]/Phi_k(x), the exact stand-in
-for expressions in a primitive k-th root of unity.
+for expressions in a primitive k-th root of unity.  One long-division loop,
+``Polynomial.__divmod__``, serves the whole cyclotomic layer: it builds Phi_k
+by dividing x^k - 1 by each lower Phi_d, and it reduces every residue.
 """
 
 from __future__ import annotations
@@ -220,7 +222,9 @@ class Polynomial:
 
         Each step subtracts only the nonzero lower coefficients of ``den``
         (Phi_k is sparse), and the leading one, which would cancel the
-        current coefficient exactly, is not subtracted at all.
+        current coefficient exactly, is not subtracted at all: its slot takes
+        the step's quotient coefficient instead, so one list ends holding the
+        remainder below degree deg(den) and the quotient from there up.
         """
         if not isinstance(den, Polynomial):
             return NotImplemented
@@ -232,17 +236,16 @@ class Polynomial:
             return Polynomial((), var=self.var), Polynomial(rem, var=self.var)
         lead = den.coeffs[-1]
         lower = [(j, dc) for j, dc in enumerate(den.coeffs[:-1]) if dc]
-        quot: list = [0] * (len(rem) - ddeg)
         for i in range(len(rem) - 1, ddeg - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
             factor = c if lead == 1 else Fraction(c) / Fraction(lead)
             shift = i - ddeg
-            quot[shift] = factor
+            rem[i] = factor  # coefficient shift of the quotient
             for j, dc in lower:
                 rem[shift + j] -= factor * dc
-        return Polynomial(quot, var=self.var), Polynomial(rem[:ddeg], var=self.var)
+        return Polynomial(rem[ddeg:], var=self.var), Polynomial(rem[:ddeg], var=self.var)
 
     def __mod__(self, den: "Polynomial"):
         return divmod(self, den)[1]
@@ -345,16 +348,12 @@ def polynomial_from_points(points: Sequence[tuple[Scalar, Scalar]], var: str = "
 _CYCLOTOMIC_CACHE: dict[int, Polynomial] = {}
 
 
-def _divisors(k: int) -> list[int]:
-    out = [d for d in range(1, k + 1) if k % d == 0]
-    return out
-
-
 def cyclotomic_polynomial(k: int) -> Polynomial:
     """The k-th cyclotomic polynomial Phi_k, monic with integer coefficients.
 
-    Computed by exact division Phi_k = (x^k - 1) / prod_{d|k, d<k} Phi_d; the
-    division being remainder-free is a built-in self-check.  Results are
+    Computed as x^k - 1 divided by each Phi_d, d | k and d < k, in turn, by
+    the same long division that reduces residues; every one of these
+    divisions being remainder-free is a built-in self-check.  Results are
     cached in divisor order.
     """
     if k < 1:
@@ -362,14 +361,10 @@ def cyclotomic_polynomial(k: int) -> Polynomial:
     cached = _CYCLOTOMIC_CACHE.get(k)
     if cached is not None:
         return cached
-    if k == 1:
-        result = Polynomial((-1, 1))
-    else:
-        num = Polynomial([-1] + [0] * (k - 1) + [1])
-        den = Polynomial.one()
-        for d in _divisors(k)[:-1]:
-            den = den * cyclotomic_polynomial(d)
-        result = num.exact_div(den)
+    result = Polynomial([-1] + [0] * (k - 1) + [1])
+    for d in range(1, k):
+        if k % d == 0:
+            result = result.exact_div(cyclotomic_polynomial(d))
     _CYCLOTOMIC_CACHE[k] = result
     return result
 

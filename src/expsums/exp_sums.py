@@ -19,10 +19,12 @@ sum_s w(s) x^(+-m*s mod k) for an integer weight w(s), so for fixed (p, k) a
 residual puts one integer weight per s on each frequency side: s^p at -m and
 G(s) = -sum_a (-1)^(p-a) C(p, a) k^a s^(p-a) at +m for prop1, and
 H(s) = s^p + sum_a (-1)^(p+a) C(p, a) k^(p-a) s^a at -m and -(-1)^p s^p at +m
-for the reflection.  These weight tables are built once per (p, k), from the
-module's ``binomial`` at call time, and one kernel, ``_class_vector``, adds
-them at -m and +m (``_scatter``) to an integer vector in Z[x]/(x^k - 1), one
-vector per residue class.  For prop1 the vector is reduced mod Phi_k once.
+for the reflection.  Each identity is thus two integer coefficient lists in
+s, built once per (p, k) from the module's ``binomial`` at call time.  One
+builder, ``_weights``, evaluates both at s = 0..k-1 with
+``Polynomial.evaluate``, and one kernel, ``_class_vector``, adds the two
+tables at -m and +m (``_scatter``) to an integer vector in Z[x]/(x^k - 1),
+one vector per residue class.  For prop1 the vector is reduced mod Phi_k once.
 That equals reducing every term and adding the residues, because reduction
 Z[x]/(x^k - 1) -> Q[x]/Phi_k is a ring homomorphism and a reduced residue is
 canonical; the zero test is therefore unchanged.
@@ -126,15 +128,12 @@ def _require_nondivisible(p: int, k: int, m: int) -> int:
     return mm
 
 
-def _poly_values(coeffs: Sequence[int], k: int) -> list[int]:
-    """The integer polynomial sum_j coeffs[j] s^j at s = 0..k-1, by Horner."""
-    table = []
-    for s in range(k):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * s + c
-        table.append(acc)
-    return table
+def _weights(minus: Sequence[int], plus: Sequence[int],
+             k: int) -> tuple[list[int], list[int]]:
+    """The weight tables of one identity: the integer polynomials in s with
+    ascending coefficient lists ``minus`` and ``plus``, at s = 0..k-1."""
+    sides = Polynomial(minus), Polynomial(plus)
+    return tuple([side.evaluate(s) for s in range(k)] for side in sides)
 
 
 def _prop1_weights(p: int, k: int) -> tuple[list[int], list[int]]:
@@ -143,7 +142,7 @@ def _prop1_weights(p: int, k: int) -> tuple[list[int], list[int]]:
     g = [0] * (p + 1)
     for a in range(p):
         g[p - a] = -(-1) ** (p - a) * binomial(p, a) * k**a
-    return [s**p for s in range(k)], _poly_values(g, k)
+    return _weights([0] * p + [1], g, k)
 
 
 def _class_vector(k: int, constant: int, weights: tuple[list[int], list[int]],
@@ -215,21 +214,15 @@ def eq3_residual_poly(p: int, k: int) -> Polynomial:
 
     Only periodicity x^k = 1 enters the identity's derivation, so it holds at
     every k-th root of unity including 1; the returned polynomial is zero when
-    all k residuals vanish, otherwise the largest one.
+    all k residuals vanish, otherwise the largest in max-abs norm (the one of
+    least m among equals: ``max`` keeps the first).
     """
     _require_pk(p, k)
     # H(s) at -m and -(-1)^p s^p at +m, as in the module docstring.
     h = [(-1) ** (p + a) * binomial(p, a) * k ** (p - a) for a in range(p)] + [1]
-    weights = (_poly_values(h, k), [-(-1) ** p * s**p for s in range(k)])
-    worst = [0] * k
-    worst_norm = -1
-    for m in range(k):
-        res = _class_vector(k, 0, weights, m)
-        norm = max(abs(c) for c in res)
-        if norm > worst_norm:
-            worst_norm = norm
-            worst = res
-    return Polynomial(worst)
+    weights = _weights(h, [0] * p + [-(-1) ** p], k)
+    return Polynomial(max((_class_vector(k, 0, weights, m) for m in range(k)),
+                          key=lambda vec: max(map(abs, vec))))
 
 
 def chain_coefficient_sum(p: int, a: int) -> int:

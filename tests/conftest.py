@@ -7,7 +7,7 @@ from expsums import bernoulli, power_sums
 def cold_closed_forms():
     # Empty the shared closed-form memo and the retrieval memo before and
     # after, so no other test sees the polynomials built here.
-    caches = (power_sums._closed_form, bernoulli._retrieve_detail)
+    caches = (power_sums._closed_form, bernoulli.retrieve_bernoulli_detail)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -74,10 +74,11 @@ class TestRetrieval:
 
     def test_odd_indices_rejected(self):
         for n in (3, 5, 9):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="odd Bernoulli numbers beyond the first vanish"):
                 retrieve_bernoulli(n)
-        with pytest.raises(ValueError):
-            retrieve_bernoulli(0)
+        for n in (0, -2):  # out of range, not odd: no parity reason is given
+            with pytest.raises(ValueError, match=rf"^(?!.*odd).*got n={n}$"):
+                retrieve_bernoulli(n)
 
     def test_detail_compares_the_stated_degree(self):
         d1 = retrieve_bernoulli_detail(1)

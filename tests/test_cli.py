@@ -107,6 +107,11 @@ class TestBernoulli:
         assert status == 2
         assert "--n" in err
 
+    def test_retrieve_below_range_is_a_usage_error(self, capsys):
+        status, out, err = run(capsys, "bernoulli", "--n", "0", "--method", "retrieve")
+        assert (status, out) == (2, "")
+        assert err == "error: retrieval is defined for n = 1 and even n >= 2, got n=0\n"
+
 
 class TestCompositions:
     def test_text_lines(self, capsys):
