@@ -143,23 +143,28 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_compositions(args) -> int:
-    # Rows are written as they are enumerated, in constant memory.  A row is
-    # byte-equal to str() of its int list and to its json.dumps, built from
-    # a table of the part strings; sort_keys puts "compositions" first, so
-    # the JSON object is written around the stream, and its count is the
-    # closed form 2^(n-1), or C(n-1, m-1) with m parts.
+    # Rows are written one group of blocks at a time: a block is the rows
+    # that share a prefix, joined in one call, and its rows' continuations
+    # are built once per run, so memory is bounded by that cache (at most
+    # 2^CACHE_DEPTH rows of each part count), not by n.  A row is byte-equal
+    # to str() of its int list and to its json.dumps; sort_keys puts
+    # "compositions" first, so the JSON object is written around the stream,
+    # and its count is the closed form 2^(n-1), or C(n-1, m-1) with m parts.
     _cap(args.n, comps.COMPOSITION_LIMIT, "--n")
-    rows = comps._part_tuples(args.n, args.length)  # raises before any output
-    digits = [str(i) for i in range(args.n + 1)]
+    between, end = (", ", "]") if args.json else ("", "]\n")
+    groups = comps._blocks(args.n, args.length, "[", str, ", ", end)  # raises before any output
     out = sys.stdout
-    if not args.json:
-        out.writelines("[" + ", ".join([digits[x] for x in parts]) + "]\n" for parts in rows)
-        return 0
-    out.write('{"compositions": [[' + ", ".join([digits[x] for x in next(rows)]) + "]")
-    out.writelines(", [" + ", ".join([digits[x] for x in parts]) + "]" for parts in rows)
-    count = (2 ** (args.n - 1) if args.length is None
-             else math.comb(args.n - 1, args.length - 1))
-    out.write(f'], "count": {count}, "length": {json.dumps(args.length)}, "n": {args.n}}}\n')
+    if args.json:
+        out.write('{"compositions": [')
+    lead = ""
+    for group in groups:
+        out.write(lead + between.join([prefix + (between + prefix).join(rows)
+                                       for prefix, rows in group]))
+        lead = between
+    if args.json:
+        count = (2 ** (args.n - 1) if args.length is None
+                 else math.comb(args.n - 1, args.length - 1))
+        out.write(f'], "count": {count}, "length": {json.dumps(args.length)}, "n": {args.n}}}\n')
     return 0
 
 

@@ -6,11 +6,13 @@ are 2^(n-1) of them.  Strictly decreasing chains drawn from an open integer
 interval are in bijection with compositions (subtract consecutive entries),
 and that bijection is implemented once with an explicit ``lower`` endpoint.
 
-Enumeration is lazy: one private generator yields the part tuples of the
-compositions (one lexicographic successor step at a time) and another the
-index tuples of the chains.  The public ``enumerate_*`` functions build their
-lists of validated objects from those generators; the CLI stream, the
-brute-force coefficient and the chain sums read the tuples directly.
+Enumeration is lazy.  The compositions come from one prefix recursion that
+yields blocks of rows sharing a prefix, their continuations enumerated once
+per call for every remainder of at most ``CACHE_DEPTH`` units; it renders
+rows as part tuples or, for the CLI, as text.  The chains come from a
+generator of index tuples.  The public ``enumerate_*`` functions build their
+lists of validated objects from these; the brute-force coefficient and the
+chain sums read the tuples directly.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import SizeLimitError
 from .exact import Scalar, _integer_numerators
 
 COMPOSITION_LIMIT = 24
+# Remainders of at most this many units are enumerated once per call and
+# shared by every prefix: 2^CACHE_DEPTH rows of each part count at most.
+CACHE_DEPTH = 10
 GESSEL_BRUTEFORCE_LIMIT = 20
 
 
@@ -76,13 +81,31 @@ class DecreasingChain:
         return len(self.indices)
 
 
-def _part_tuples(n: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
-    """The compositions of n, or those with exactly m parts, as part tuples
-    in lexicographic order.
+def _first_parts(r: int, k: int | None) -> range:
+    """The first parts of the compositions of r with k parts (None: any)."""
+    if k is None:
+        return range(1, r + 1)
+    if k == 1:
+        return range(r, r + 1)
+    return range(1, r - k + 2)
+
+
+def _blocks(n: int, m: int | None, top, part: Callable, sep, end) -> Iterator[list]:
+    """The compositions of n, or those with exactly m parts, in lexicographic
+    order, as groups of (prefix, rows) blocks whose rows follow the prefix.
+
+    A row is rendered from ``top``, ``part(a)`` for each part a, ``sep``
+    between parts and ``end`` after the last, so the same walk serves part
+    tuples (``()``, ``lambda a: (a,)``, ``()``, ``()``) and text rows.  It follows
+    comps(r) = for a in first parts: (a) + comps(r - a), and stops where the
+    remainder r - a is at most ``CACHE_DEPTH``: those continuations are built
+    once per call, from the same recurrence, and shared by every prefix.  One
+    group holds the blocks below one node of the walk; without m and with
+    n > CACHE_DEPTH, that is 2^CACHE_DEPTH rows in each of 2^(n-1-CACHE_DEPTH)
+    groups.
 
     The arguments are checked when this is called, so a caller can validate
-    before it consumes (or writes) anything; the tuples themselves are
-    produced lazily, one at a time.
+    before it consumes (or writes) anything; the groups are produced lazily.
     """
     if n < 1:
         raise ValueError(f"compositions are defined for n >= 1, got {n}")
@@ -93,30 +116,39 @@ def _part_tuples(n: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
             f"n={n} exceeds the composition enumeration limit {COMPOSITION_LIMIT}"
             + (" (2^(n-1) compositions)" if m is None else "")
         )
-    return _lex_successors(n, m)
+    cache: dict[tuple[int, int | None], list] = {}
+
+    def rows(r: int, k: int | None) -> list:
+        # What follows a part when r units remain for k more parts.
+        if (r, k) not in cache:
+            if r == 0:
+                cache[r, k] = [end]
+            else:
+                rest = None if k is None else k - 1
+                cache[r, k] = [sep + part(a) + row
+                               for a in _first_parts(r, k) for row in rows(r - a, rest)]
+        return cache[r, k]
+
+    def walk(prefix, r: int, k: int | None) -> Iterator[list]:
+        rest = None if k is None else k - 1
+        below = []
+        for a in _first_parts(r, k):  # remainders fall as a rises
+            if r - a > CACHE_DEPTH:
+                yield from walk(prefix + part(a) + sep, r - a, rest)
+            else:
+                below.append((prefix + part(a), rows(r - a, rest)))
+        if below:  # with m fixed, every first part may leave a deep remainder
+            yield below
+
+    return walk(top, n, m)
 
 
-def _lex_successors(n: int, m: int | None) -> Iterator[tuple[int, ...]]:
-    # Lexicographic successor: [..., P, L] -> [..., P+1] followed by L-1
-    # units, as ones when the length is free.  With m parts fixed, the units
-    # fill the missing parts as ones and the last part takes the rest; when
-    # they are too few for that, the tail first takes in parts to its left.
-    parts = [1] * n if m is None else [1] * (m - 1) + [n - m + 1]
-    while True:
-        yield tuple(parts)
-        rest = parts.pop()
-        if m is not None:
-            while parts and rest <= m - len(parts):
-                rest += parts.pop()
-        if not parts:
-            return
-        parts[-1] += 1
-        if m is None:
-            parts += [1] * (rest - 1)
-        else:
-            need = m - len(parts)
-            parts += [1] * (need - 1)
-            parts.append(rest - need)
+def _part_tuples(n: int, m: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The compositions of n, or those with exactly m parts, as part tuples
+    in lexicographic order; the arguments are checked when this is called."""
+    return (prefix + row
+            for group in _blocks(n, m, (), lambda a: (a,), (), ())
+            for prefix, block in group for row in block)
 
 
 def enumerate_compositions(n: int) -> list[Composition]:

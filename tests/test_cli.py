@@ -377,18 +377,20 @@ class TestUsageErrors:
 class TestClosedStdout:
     @pytest.mark.parametrize("command", [
         ["compositions", "--n", "18"],
+        ["compositions", "--n", "18", "--json"],
         ["characters", "--k", "600"],
-    ], ids=["compositions", "characters"])
+    ], ids=["compositions", "compositions-json", "characters"])
     def test_closed_stdout_exits_1_without_traceback(self, command):
-        # The reader takes one line and closes the pipe, as ``| head -1`` does;
-        # the output is far larger than a pipe buffer, so a write must fail.
+        # The reader takes the first bytes and closes the pipe, as ``| head -c
+        # 16`` does (the JSON output is a single line); the output is far
+        # larger than a pipe buffer, so a write must fail.
         proc = subprocess.Popen([sys.executable, "-m", "expsums", *command],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                 env=cli_env())
-        first = proc.stdout.readline()
+        first = proc.stdout.read(16)
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
-        assert first.endswith(b"\n")
+        assert len(first) == 16
         assert (proc.returncode, err) == (1, b"")
 
 

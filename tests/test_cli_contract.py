@@ -7,16 +7,20 @@ cases are the exact-output ``CLI_CASES``, the exact commands of the benchmark
 workloads, the compositions JSON edge cases, and the failing exact sweeps
 under each perturbed binomial patched into ``exp_sums``.  Output formatted
 from floats (characters, alkan ratios, float residuals) is left out: its last
-digits depend on the platform's libm.
+digits depend on the platform's libm.  The compositions cap with ``--length``
+also runs as a fresh interpreter writing to a pipe, hashed as it streams.
 """
 
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
 from expsums import exp_sums
 from expsums.cli import main
-from helpers import PERTURBED_BINOMIALS
+from expsums.compositions import CACHE_DEPTH
+from helpers import PERTURBED_BINOMIALS, cli_env
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -64,6 +68,8 @@ CONTRACT = {
         (0, "9ed36a5c42da5e4d1f2ec81fc7d5da0bb8914b9b6fff30c3c4be74e55c99a1f5", EMPTY),
     (None, "compositions --n 18"):
         (0, "4f1a9348422e8a59e8ec85137c9000a5d02e50170948b808e1fa0bc7e4a5a8ba", EMPTY),
+    (None, "compositions --n 18 --json"):
+        (0, "44cff64827b5eddc4e5cbd7c9b0b0659634739f4725b2d57eba866324517e967", EMPTY),
     (None, "compositions --n 18 --length 9"):
         (0, "f017674d2d8fabf12552124832bc95f4e39fc39adb98caba3173a9893e8ac6f4", EMPTY),
     (None, "compositions --n 1 --json"):
@@ -104,3 +110,45 @@ def test_output_matches_contract(capsys, monkeypatch, case):
     status = main(argv.split())
     captured = capsys.readouterr()
     assert (status, _digest(captured.out), _digest(captured.err)) == CONTRACT[case]
+
+
+class _CountingStdout:
+    """A stdout that keeps every string handed to write or writelines."""
+
+    def __init__(self):
+        self.strings = []
+
+    def write(self, text):
+        self.strings.append(text)
+        return len(text)
+
+    def writelines(self, lines):
+        self.strings.extend(lines)
+
+
+@pytest.mark.parametrize("argv", ["compositions --n 18", "compositions --n 18 --json",
+                                  "compositions --n 18 --length 9"])
+def test_compositions_write_blocks_not_rows(monkeypatch, argv):
+    # 131,072 and 24,310 rows reach stdout as one string per group of blocks,
+    # so an unbuffered stdout (PYTHONUNBUFFERED) makes few write calls.
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    status = main(argv.split())
+    assert len(stdout.strings) <= 2 ** (18 - CACHE_DEPTH) + 2
+    assert (status, _digest("".join(stdout.strings))) == CONTRACT[None, argv][:2]
+
+
+def test_compositions_cap_streams_whole_through_a_pipe():
+    # C(23, 11) = 1,352,078 rows, about 50 MB, written unbuffered in large
+    # blocks; the digest is taken chunk by chunk as the pipe delivers them.
+    env = cli_env()
+    env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "expsums", "compositions", "--n", "24", "--length", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+        digest.update(chunk)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, digest.hexdigest(), err) == (
+        0, "5735e93f6dca85b581237d9d4f7bbce4073b4a9b320b69f3c9507d18a9a6f721", b"")

@@ -94,7 +94,8 @@ class TestEnumerationByLength:
 
 class TestPartTuples:
     def test_matches_bitmask_oracle_by_length(self):
-        for n in range(1, 13):
+        # Past the cache depth, so the walk recurses as well as reading its cache.
+        for n in range(1, compositions.CACHE_DEPTH + 5):
             oracle = bitmask_compositions(n)
             assert list(compositions._part_tuples(n)) == oracle
             for m in range(1, n + 1):
