@@ -18,13 +18,14 @@ import json
 import math
 import os
 import sys
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from . import bernoulli as bern
-from . import compositions as comps
-from . import dirichlet, exp_sums, power_sums
+# Each handler imports the modules its subcommand uses, so that a run loads
+# (and, without cached bytecode, compiles) only those.
 from .errors import ConsistencyError, SizeLimitError
-from .exact import format_rational
+
+if TYPE_CHECKING:
+    from .exp_sums import SweepResult
 
 
 def _cap(value: int, cap: int, flag: str):
@@ -81,6 +82,9 @@ def _print_json(obj) -> None:
 
 
 def _cmd_powersum(args) -> int:
+    from .exact import format_rational
+    from .power_sums import h_faulhaber, h_naive, h_polynomial, h_recurrence
+
     _cap(args.p, 64, "--p")
     method = args.method
     if args.k is not None:
@@ -92,7 +96,7 @@ def _cmd_powersum(args) -> int:
     if method in ("poly", "faulhaber") and args.p < 1:
         raise ValueError(f"--method {method} requires --p >= 1")
     if method == "poly":
-        poly = power_sums.h_polynomial(args.p)
+        poly = h_polynomial(args.p)
         if args.k is None:
             if args.json:
                 _print_json({"method": method, "p": args.p,
@@ -102,11 +106,11 @@ def _cmd_powersum(args) -> int:
             return 0
         value = format_rational(poly.evaluate(args.k))
     elif method == "naive":
-        value = str(power_sums.h_naive(args.p, args.k))
+        value = str(h_naive(args.p, args.k))
     elif method == "recurrence":
-        value = str(power_sums.h_recurrence(args.p, args.k))
+        value = str(h_recurrence(args.p, args.k))
     else:
-        value = format_rational(power_sums.h_faulhaber(args.p, args.k))
+        value = format_rational(h_faulhaber(args.p, args.k))
     if args.json:
         _print_json({"k": args.k, "method": method, "p": args.p, "value": value})
     else:
@@ -115,9 +119,12 @@ def _cmd_powersum(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
+    from .bernoulli import bernoulli_oracle, bernoulli_table, retrieve_bernoulli
+    from .exact import format_rational
+
     if args.table is not None:
         _cap(args.table, 60, "--table")
-        table = bern.bernoulli_table(args.table)
+        table = bernoulli_table(args.table)
         if args.json:
             _print_json({"nmax": args.table,
                          "table": [{"n": n, "value": format_rational(table[n])}
@@ -130,10 +137,10 @@ def _cmd_bernoulli(args) -> int:
         raise ValueError("provide --n with --method, or --table NMAX")
     if args.method == "oracle":
         _cap(args.n, 500, "--n")
-        value = bern.bernoulli_oracle(args.n)
+        value = bernoulli_oracle(args.n)
     else:
         _cap(args.n, 60, "--n")
-        value = bern.retrieve_bernoulli(args.n)
+        value = retrieve_bernoulli(args.n)
     if args.json:
         _print_json({"method": args.method, "n": args.n,
                      "value": format_rational(value)})
@@ -143,6 +150,8 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_compositions(args) -> int:
+    from .compositions import COMPOSITION_LIMIT, _blocks
+
     # Rows are written one group of blocks at a time: a block is the rows
     # that share a prefix, joined in one call, and its rows' continuations
     # are built once per run, so memory is bounded by that cache (at most
@@ -150,9 +159,9 @@ def _cmd_compositions(args) -> int:
     # to str() of its int list and to its json.dumps; sort_keys puts
     # "compositions" first, so the JSON object is written around the stream,
     # and its count is the closed form 2^(n-1), or C(n-1, m-1) with m parts.
-    _cap(args.n, comps.COMPOSITION_LIMIT, "--n")
+    _cap(args.n, COMPOSITION_LIMIT, "--n")
     between, end = (", ", "]") if args.json else ("", "]\n")
-    groups = comps._blocks(args.n, args.length, "[", str, ", ", end)  # raises before any output
+    groups = _blocks(args.n, args.length, "[", str, ", ", end)  # raises before any output
     out = sys.stdout
     if args.json:
         out.write('{"compositions": [')
@@ -169,8 +178,10 @@ def _cmd_compositions(args) -> int:
 
 
 def _cmd_characters(args) -> int:
+    from .dirichlet import enumerate_characters
+
     _cap(args.k, 1000, "--k")
-    chars = dirichlet.enumerate_characters(args.k)
+    chars = enumerate_characters(args.k)
     # The values are drawn from one table of roots of unity and 0j, so few
     # are distinct.  Equal complex values format alike here: no value has a
     # negative zero part, the one case where equal floats print differently.
@@ -199,41 +210,49 @@ def _cmd_characters(args) -> int:
     return 0
 
 
-def _print_sweep(sweep: exp_sums.SweepResult, as_json: bool) -> int:
+def _print_sweep(sweep: SweepResult, as_json: bool) -> int:
     out, status = emit_report(sweep.failures, "json" if as_json else "text", sweep.cases)
     print(out)
     return status
 
 
 def _cmd_verify_prop1(args) -> int:
+    from .exp_sums import run_prop1_exact, run_prop1_float
+
     if args.float:
         _cap(args.pmax, 12, "--pmax")
         _cap(args.kmax, 512, "--kmax")
-        sweep = exp_sums.run_prop1_float(args.pmax, args.kmax, args.tol)
+        sweep = run_prop1_float(args.pmax, args.kmax, args.tol)
     else:
         _cap(args.pmax, 16, "--pmax")
         _cap(args.kmax, 64, "--kmax")
-        sweep = exp_sums.run_prop1_exact(args.pmax, args.kmax)
+        sweep = run_prop1_exact(args.pmax, args.kmax)
     return _print_sweep(sweep, args.json)
 
 
 def _cmd_verify_eq3(args) -> int:
+    from .exp_sums import run_eq3
+
     _cap(args.pmax, 12, "--pmax")
     _cap(args.kmax, 24, "--kmax")
-    sweep = exp_sums.run_eq3(args.pmax, args.kmax)
+    sweep = run_eq3(args.pmax, args.kmax)
     return _print_sweep(sweep, args.json)
 
 
 def _cmd_verify_coeffs(args) -> int:
+    from .exp_sums import run_coefficient_check
+
     _cap(args.pmax, 16, "--pmax")
-    sweep = exp_sums.run_coefficient_check(args.pmax)
+    sweep = run_coefficient_check(args.pmax)
     return _print_sweep(sweep, args.json)
 
 
 def _cmd_verify_alkan(args) -> int:
+    from .dirichlet import alkan_sweep
+
     _cap(args.k, 200, "--k")
-    reports = dirichlet.alkan_sweep(args.k, args.r, args.tol,
-                                    include_imprimitive=args.include_imprimitive)
+    reports = alkan_sweep(args.k, args.r, args.tol,
+                          include_imprimitive=args.include_imprimitive)
     n_fail = sum(1 for rep in reports if rep.status == "FAIL")
     n_skip = sum(1 for rep in reports if rep.status == "SKIPPED")
     tally, status = _verdict(n_fail, len(reports) - n_skip, "characters",

@@ -20,10 +20,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import SizeLimitError
-from .exact import Scalar, _integer_numerators
+
+if TYPE_CHECKING:
+    from .exact import Scalar
 
 COMPOSITION_LIMIT = 24
 # Remainders of at most this many units are enumerated once per call and
@@ -247,6 +249,9 @@ def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
         raise SizeLimitError(
             f"n={n} exceeds the brute-force limit {GESSEL_BRUTEFORCE_LIMIT}"
         )
+    # Imported here, so that the CLI's enumeration never loads the exact layer.
+    from .exact import _integer_numerators
+
     nums, den = _integer_numerators(_padded(u, n)[:n])
     buckets = [0] * (n + 1)
     for parts in _part_tuples(n):

@@ -330,6 +330,38 @@ class TestRuntimeImports:
         assert b"expsums.dirichlet" in imported
         assert not [name for name in imported if name.split(b".")[0] == b"numpy"]
 
+    # The package modules each run loads: a subcommand imports only what it
+    # uses, and ``import expsums`` alone imports no submodule.
+    FOOTPRINT = (
+        "import sys\n"
+        "import expsums\n"
+        "if sys.argv[1:]:\n"
+        "    from expsums.cli import main\n"
+        "    status = main(sys.argv[1:])\n"
+        "    assert status == 0, status\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'expsums'),"
+        " file=sys.stderr)\n"
+    )
+    BASE = {"expsums", "expsums.cli", "expsums.errors"}
+    SWEEPS = BASE | {"expsums.compositions", "expsums.exact", "expsums.exp_sums"}
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], {"expsums"}),
+        (["compositions", "--n", "3"], BASE | {"expsums.compositions"}),
+        (["verify", "prop1", "--pmax", "2", "--kmax", "3"], SWEEPS),
+        (["verify", "eq3", "--pmax", "2", "--kmax", "3"], SWEEPS),
+        (["verify", "coeffs", "--pmax", "3"], SWEEPS),
+        (["powersum", "--p", "3", "--k", "4"],
+         BASE | {"expsums.exact", "expsums.power_sums"}),
+        (["bernoulli", "--n", "4", "--method", "oracle"],
+         BASE | {"expsums.bernoulli", "expsums.exact", "expsums.power_sums"}),
+    ], ids=["import", "compositions", "prop1", "eq3", "coeffs", "powersum", "bernoulli"])
+    def test_module_footprint(self, argv, expected):
+        proc = subprocess.run([sys.executable, "-c", self.FOOTPRINT, *argv],
+                              capture_output=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stderr.decode().split()) == expected
+
 
 class TestEmitReport:
     def test_empty(self):

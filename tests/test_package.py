@@ -1,0 +1,62 @@
+"""The package namespace: every public name resolves, on first access, to the
+object its home module defines, and the namespace lists them all."""
+
+import importlib
+
+import pytest
+
+import expsums
+
+EXPECTED_ALL = """
+AlkanReport BernoulliTable Composition ConsistencyError CyclotomicElement
+DecreasingChain DirichletCharacter DivergenceError ExpSumQuery FloatResidual
+LSeriesValue ParityError Polynomial PreconditionError Rational RetrievalDetail
+SizeLimitError SweepResult UnitGroupStructure alkan_check alkan_sweep
+bernoulli_oracle bernoulli_table binomial chain_coefficient_sum
+chain_to_composition composition_to_chain cyclo_root_power
+cyclotomic_polynomial enumerate_chains enumerate_characters
+enumerate_compositions enumerate_compositions_length eq3_residual_poly
+eq4_check exp_power_sum_complex exp_power_sum_cyclo faulhaber_polynomial
+format_rational gauss_sum gessel_coefficient_bruteforce
+gessel_coefficient_series h_faulhaber h_naive h_polynomial h_recurrence
+l_value multinomial odd_recurrence_polynomial parse_rational poly_coefficient
+polynomial_from_points prop1_residual_complex prop1_residual_cyclo
+retrieve_bernoulli retrieve_bernoulli_detail run_coefficient_check run_eq3
+run_prop1_exact run_prop1_float s_sum unit_group_structure
+""".split()
+
+
+def test_all_is_unchanged():
+    assert expsums.__all__ == EXPECTED_ALL
+
+
+def test_version():
+    assert expsums.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", EXPECTED_ALL)
+def test_public_name_is_its_home_modules_object(name):
+    home = importlib.import_module(f"expsums.{expsums._HOME_OF[name]}")
+    value = getattr(expsums, name)
+    assert value is vars(home)[name]
+    # Classes and functions are defined where the table says they live.
+    if getattr(value, "__module__", "").startswith("expsums"):
+        assert value.__module__ == home.__name__
+
+
+def test_star_import_binds_all():
+    namespace: dict = {}
+    exec("from expsums import *", namespace)
+    assert set(EXPECTED_ALL) <= set(namespace)
+    for name in EXPECTED_ALL:
+        assert namespace[name] is getattr(expsums, name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(EXPECTED_ALL) <= set(dir(expsums))
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        expsums.no_such_name
+    assert not hasattr(expsums, "no_such_name")
