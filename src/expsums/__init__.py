@@ -11,72 +11,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlkanReport",
-    "BernoulliTable",
-    "Composition",
-    "ConsistencyError",
-    "CyclotomicElement",
-    "DecreasingChain",
-    "DirichletCharacter",
-    "DivergenceError",
-    "ExpSumQuery",
-    "FloatResidual",
-    "LSeriesValue",
-    "ParityError",
-    "Polynomial",
-    "PreconditionError",
-    "Rational",
-    "RetrievalDetail",
-    "SizeLimitError",
-    "SweepResult",
-    "UnitGroupStructure",
-    "alkan_check",
-    "alkan_sweep",
-    "bernoulli_oracle",
-    "bernoulli_table",
-    "binomial",
-    "chain_coefficient_sum",
-    "chain_to_composition",
-    "composition_to_chain",
-    "cyclo_root_power",
-    "cyclotomic_polynomial",
-    "enumerate_chains",
-    "enumerate_characters",
-    "enumerate_compositions",
-    "enumerate_compositions_length",
-    "eq3_residual_poly",
-    "eq4_check",
-    "exp_power_sum_complex",
-    "exp_power_sum_cyclo",
-    "faulhaber_polynomial",
-    "format_rational",
-    "gauss_sum",
-    "gessel_coefficient_bruteforce",
-    "gessel_coefficient_series",
-    "h_faulhaber",
-    "h_naive",
-    "h_polynomial",
-    "h_recurrence",
-    "l_value",
-    "multinomial",
-    "odd_recurrence_polynomial",
-    "parse_rational",
-    "poly_coefficient",
-    "polynomial_from_points",
-    "prop1_residual_complex",
-    "prop1_residual_cyclo",
-    "retrieve_bernoulli",
-    "retrieve_bernoulli_detail",
-    "run_coefficient_check",
-    "run_eq3",
-    "run_prop1_exact",
-    "run_prop1_float",
-    "s_sum",
-    "unit_group_structure",
-]
-
-# Home module of every name in __all__.
+# Home module of every public name: the one list of them.
 _HOMES = {
     "bernoulli": (
         "BernoulliTable", "RetrievalDetail", "bernoulli_oracle",
@@ -117,6 +52,7 @@ _HOMES = {
     ),
 }
 _HOME_OF = {name: home for home, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME_OF)
 
 
 def __getattr__(name: str):

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 # Each handler imports the modules its subcommand uses, so that a run loads
 # (and, without cached bytecode, compiles) only those.
@@ -58,23 +58,6 @@ def _verdict(n_fail: int, total: int, noun: str, note: str = "") -> tuple[str, i
     if n_fail:
         return f"FAIL ({n_fail} of {total} {noun} failed{note})", 1
     return f"PASS ({total} {noun}{note})", 0
-
-
-def emit_report(records: Iterable[dict], mode: str, cases: int) -> tuple[str, int]:
-    """Render verification records; returns (output, exit_status).
-
-    Text mode is one tally line per run ("PASS (N cases)") plus one line per
-    failing record; json mode is the record array itself (stable keys
-    case/status/detail).  Every record is a FAIL, and any forces exit status 1.
-    """
-    records = list(records)
-    tally, status = _verdict(len(records), cases, "cases")
-    if mode == "json":
-        return json.dumps(records, sort_keys=True), status
-    lines = [tally]
-    for r in records:
-        lines.append(f"  FAIL {r.get('case')}: {r.get('detail')}")
-    return "\n".join(lines), status
 
 
 def _print_json(obj) -> None:
@@ -211,8 +194,18 @@ def _cmd_characters(args) -> int:
 
 
 def _print_sweep(sweep: SweepResult, as_json: bool) -> int:
-    out, status = emit_report(sweep.failures, "json" if as_json else "text", sweep.cases)
-    print(out)
+    """Print a sweep's report; returns the exit status, 1 on any failure.
+
+    Text is one tally line ("PASS (N cases)") plus one line per failure;
+    JSON is the failure record array itself (stable keys case/status/detail).
+    """
+    tally, status = _verdict(len(sweep.failures), sweep.cases, "cases")
+    if as_json:
+        _print_json(sweep.failures)
+        return status
+    print(tally)
+    for r in sweep.failures:
+        print(f"  FAIL {r.get('case')}: {r.get('detail')}")
     return status
 
 

@@ -265,7 +265,10 @@ def _chain_sum(p: int, a: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Outcome of one verification sweep: case count and failing records."""
+    """Outcome of one verification sweep: case count and failing records.
+
+    The ``run_*`` sweeps raise ValueError on an empty range, which would
+    otherwise pass with 0 cases."""
 
     name: str
     cases: int
@@ -289,6 +292,7 @@ def run_prop1_exact(pmax: int, kmax: int) -> SweepResult:
     evaluated once per (p, k) and every m in the range is counted (and, on
     failure, recorded) against its class's residue.
     """
+    _require_pk(pmax, kmax)
     cases = 0
     failures = []
     for p in range(1, pmax + 1):
@@ -313,6 +317,7 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
     The f and g sums for exponents 0..pmax are built once per (k, m) and
     shared by every p.
     """
+    _require_pk(pmax, kmax)
     cases = 0
     failures = []
     tables: dict[tuple[int, int], tuple[list[complex], list[complex]]] = {}
@@ -336,6 +341,7 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
 
 def run_eq3(pmax: int, kmax: int) -> SweepResult:
     """Exact reflection sweep mod x^k - 1, all frequencies per modulus."""
+    _require_pk(pmax, kmax)
     cases = 0
     failures = []
     for p in range(1, pmax + 1):
@@ -354,6 +360,7 @@ def run_coefficient_check(pmax: int) -> SweepResult:
     The a = p sum runs over every chain in (0, p), so its one enumeration
     also gives the chain count.
     """
+    _require_pk(pmax, 2)
     cases = 0
     failures = []
     for p in range(1, pmax + 1):

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from expsums import dirichlet, exp_sums, power_sums
-from expsums.cli import emit_report, main
+from expsums.cli import _print_sweep, main
 from helpers import (
     CLI_CASES,
     PERTURBED_BINOMIALS,
@@ -363,20 +363,22 @@ class TestRuntimeImports:
         assert set(proc.stderr.decode().split()) == expected
 
 
-class TestEmitReport:
-    def test_empty(self):
-        out, status = emit_report([], "text", cases=0)
-        assert (out, status) == ("PASS (0 cases)", 0)
-        out, status = emit_report([], "json", cases=0)
-        assert (out, status) == ("[]", 0)
+class TestPrintSweep:
+    def report(self, capsys, failures, cases, as_json):
+        status = _print_sweep(exp_sums.SweepResult("t", cases, tuple(failures)), as_json)
+        return capsys.readouterr().out, status
 
-    def test_failing_record_forces_exit_one(self):
+    def test_empty(self, capsys):
+        assert self.report(capsys, [], 0, False) == ("PASS (0 cases)\n", 0)
+        assert self.report(capsys, [], 0, True) == ("[]\n", 0)
+
+    def test_failing_record_forces_exit_one(self, capsys):
         record = {"case": "p=2 k=3 m=1", "status": "FAIL", "detail": "residual"}
-        out, status = emit_report([record], "text", cases=10)
+        out, status = self.report(capsys, [record], 10, False)
         assert status == 1
         assert "FAIL (1 of 10 cases failed)" in out
         assert "p=2 k=3 m=1" in out
-        out, status = emit_report([record], "json", cases=10)
+        out, status = self.report(capsys, [record], 10, True)
         assert status == 1
         assert json.loads(out) == [record]
 
@@ -404,6 +406,17 @@ class TestUsageErrors:
     ])
     def test_compositions_validate_before_any_output(self, capsys, args, message, json_flag):
         assert run(capsys, "compositions", *args, *json_flag) == (2, "", f"error: {message}\n")
+
+    # A range with no case would otherwise print PASS (0 cases) and exit 0.
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("args, message", [
+        (["prop1", "--pmax", "0", "--kmax", "5"], "exponent p must be >= 1, got 0"),
+        (["prop1", "--pmax", "3", "--kmax", "1", "--float"], "modulus k must be >= 2, got 1"),
+        (["eq3", "--pmax", "2", "--kmax", "-1"], "modulus k must be >= 2, got -1"),
+        (["coeffs", "--pmax", "-3"], "exponent p must be >= 1, got -3"),
+    ])
+    def test_empty_verify_sweep_is_a_usage_error(self, capsys, args, message, json_flag):
+        assert run(capsys, "verify", *args, *json_flag) == (2, "", f"error: {message}\n")
 
 
 class TestClosedStdout:

@@ -200,6 +200,20 @@ class TestSweeps:
         sweep = run_coefficient_check(8)
         assert sweep.ok
 
+    @pytest.mark.parametrize("runner, args", [
+        (run_prop1_exact, (0, 5)),
+        (run_prop1_exact, (3, 1)),
+        (run_prop1_float, (0, 5)),
+        (run_prop1_float, (3, 1)),
+        (run_eq3, (0, 4)),
+        (run_eq3, (2, -1)),
+        (run_coefficient_check, (0,)),
+        (run_coefficient_check, (-3,)),
+    ])
+    def test_empty_range_raises(self, runner, args):
+        with pytest.raises(ValueError, match="must be >="):
+            runner(*args)
+
     def test_coefficient_sweep_enumerates_each_chain_set_once(self, monkeypatch):
         # The chains in (p-a, p) are the subsets of its a-1 interior points;
         # the a = p set also gives the 2^(p-1) count, without a second pass.

@@ -1,7 +1,10 @@
 """The package namespace: every public name resolves, on first access, to the
 object its home module defines, and the namespace lists them all."""
 
+import ast
 import importlib
+import pathlib
+import sys
 
 import pytest
 
@@ -28,6 +31,33 @@ run_prop1_exact run_prop1_float s_sum unit_group_structure
 
 def test_all_is_unchanged():
     assert expsums.__all__ == EXPECTED_ALL
+
+
+def test_each_public_name_has_one_home():
+    # __all__ is derived from the table, so a name listed under two homes
+    # would otherwise collapse into one entry without notice.
+    listed = [name for names in expsums._HOMES.values() for name in names]
+    assert len(listed) == len(expsums._HOME_OF)
+    assert expsums.__all__ == sorted(set(expsums.__all__))
+
+
+def test_modules_import_only_the_standard_library():
+    # Every import in every module, including those inside functions and
+    # under TYPE_CHECKING, is relative or names a standard-library module.
+    paths = sorted(pathlib.Path(expsums.__file__).parent.glob("*.py"))
+    assert "cli.py" in {path.name for path in paths}
+    outside = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_version():
