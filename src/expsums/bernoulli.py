@@ -3,10 +3,11 @@
 ``bernoulli_oracle`` runs the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j
 = 0 with B_0 = 1 (which fixes B_1 = -1/2), summing each step as one integer
 over the lcm of the earlier denominators.  ``retrieve_bernoulli`` recovers
-B_n a second way, sharing no code with the oracle: it equates the Bernoulli
-closed form of h(p, .) for p = n+1 against the odd-exponent halving
-recurrence, solves the single linear coefficient equation for B_n, and then
-insists the two polynomials agree in every coefficient.
+B_n a second way, sharing no code with the oracle.  In Faulhaber's closed
+form of h(p, .), p = n+1 (p = 1 for n = 1), B_n enters exactly one
+coefficient, that of k^(p-n+1), with weight (-1)^n C(p+1, n)/(p+1).
+Retrieval reads B_n off that coefficient of the odd-exponent halving
+recurrence, then insists the two polynomials agree in every coefficient.
 
 The lower closed forms h(j, .), j < n, come from the memoised recursion that
 also serves ``h_polynomial``, so each is built once for all n.  The memo is
@@ -24,7 +25,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import ConsistencyError
-from .exact import Polynomial, polynomial_from_points
+from .exact import Polynomial, poly_coefficient, polynomial_from_points
 from .power_sums import _closed_form, faulhaber_polynomial, h_naive, odd_recurrence_polynomial
 
 
@@ -91,23 +92,12 @@ def retrieve_bernoulli_detail(n: int) -> RetrievalDetail:
         return _known_even_power_sum(n) if j == n else _closed_form(j, _retrieved)
 
     recurrence_poly = odd_recurrence_polynomial(p, lower)
-
-    def bern_with(value_n: Fraction):
-        def bern(j: int) -> Fraction:
-            return value_n if j == n else _retrieved(j)
-
-        return bern
-
-    base = faulhaber_polynomial(p, bern_with(Fraction(0)))
-    slope = faulhaber_polynomial(p, bern_with(Fraction(1))) - base
-
+    # B_n enters Faulhaber's form at this degree only; its weight there is the
+    # coefficient of the form with B_n = 1 and every other B_j = 0.
     degree = p - n + 1
-    slope_c = Fraction(slope.coefficient(degree))
-    if slope_c == 0:
-        raise ConsistencyError(f"degenerate retrieval equation at n={n}, degree {degree}")
-    value = (Fraction(recurrence_poly.coefficient(degree)) - Fraction(base.coefficient(degree))) / slope_c
-
-    closed_form_poly = base + slope * value
+    weight = poly_coefficient(faulhaber_polynomial(p, lambda j: int(j == n)), degree)
+    value = poly_coefficient(recurrence_poly, degree) / weight
+    closed_form_poly = faulhaber_polynomial(p, lambda j: value if j == n else _retrieved(j))
     if closed_form_poly != recurrence_poly:
         raise ConsistencyError(
             f"retrieval of B_{n}: polynomials disagree beyond the solved coefficient"

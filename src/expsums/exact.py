@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .errors import ConsistencyError
@@ -345,27 +346,21 @@ def polynomial_from_points(points: Sequence[tuple[Scalar, Scalar]], var: str = "
     return Polynomial((_ratio(c * x_scale**d, den) for d, c in enumerate(total)), var=var)
 
 
-_CYCLOTOMIC_CACHE: dict[int, Polynomial] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> Polynomial:
     """The k-th cyclotomic polynomial Phi_k, monic with integer coefficients.
 
     Computed as x^k - 1 divided by each Phi_d, d | k and d < k, in turn, by
     the same long division that reduces residues; every one of these
     divisions being remainder-free is a built-in self-check.  Results are
-    cached in divisor order.
+    memoised, so each Phi_d is built once.
     """
     if k < 1:
         raise ValueError(f"cyclotomic_polynomial requires k >= 1, got {k}")
-    cached = _CYCLOTOMIC_CACHE.get(k)
-    if cached is not None:
-        return cached
     result = Polynomial([-1] + [0] * (k - 1) + [1])
     for d in range(1, k):
         if k % d == 0:
             result = result.exact_div(cyclotomic_polynomial(d))
-    _CYCLOTOMIC_CACHE[k] = result
     return result
 
 
@@ -379,8 +374,6 @@ class CyclotomicElement:
     __slots__ = ("modulus_k", "residue")
 
     def __init__(self, modulus_k: int, value: Polynomial | Scalar = 0):
-        if modulus_k < 1:
-            raise ValueError(f"cyclotomic modulus must be >= 1, got {modulus_k}")
         poly = value if isinstance(value, Polynomial) else Polynomial((value,))
         reduced = poly % cyclotomic_polynomial(modulus_k)
         object.__setattr__(self, "modulus_k", modulus_k)
@@ -393,25 +386,23 @@ class CyclotomicElement:
     def is_zero(self) -> bool:
         return self.residue.is_zero
 
-    def _check(self, other: "CyclotomicElement"):
-        if self.modulus_k != other.modulus_k:
-            raise ValueError(
-                f"mixed cyclotomic moduli {self.modulus_k} and {other.modulus_k}"
-            )
-
-    def _coerce(self, other):
+    def _operand(self, other) -> "Polynomial | Scalar | None":
+        """Residue of a same-modulus element, or the scalar itself; None otherwise."""
         if isinstance(other, CyclotomicElement):
-            self._check(other)
-            return other
+            if self.modulus_k != other.modulus_k:
+                raise ValueError(
+                    f"mixed cyclotomic moduli {self.modulus_k} and {other.modulus_k}"
+                )
+            return other.residue
         if isinstance(other, (int, Fraction)):
-            return CyclotomicElement(self.modulus_k, other)
+            return other
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return CyclotomicElement(self.modulus_k, self.residue + o.residue)
+        return CyclotomicElement(self.modulus_k, self.residue + o)
 
     __radd__ = __add__
 
@@ -419,24 +410,19 @@ class CyclotomicElement:
         return CyclotomicElement(self.modulus_k, -self.residue)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return CyclotomicElement(self.modulus_k, self.residue - o.residue)
+        return CyclotomicElement(self.modulus_k, self.residue - o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicElement(self.modulus_k, o.residue - self.residue)
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicElement(self.modulus_k, self.residue * other)
-        if not isinstance(other, CyclotomicElement):
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        self._check(other)
-        return CyclotomicElement(self.modulus_k, self.residue * other.residue)
+        return CyclotomicElement(self.modulus_k, self.residue * o)
 
     __rmul__ = __mul__
 

@@ -6,6 +6,7 @@ import pytest
 from expsums import bernoulli, power_sums
 from expsums import (
     ConsistencyError,
+    Polynomial,
     bernoulli_oracle,
     bernoulli_table,
     h_polynomial,
@@ -180,3 +181,20 @@ class TestGatesCanFail:
         # the table's oracle cross-check can refuse.
         with pytest.raises(ConsistencyError, match="B_1 = 1/2 disagrees with the oracle"):
             bernoulli_table(1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 30])
+    def test_perturbed_even_power_sum_breaks_retrieval(self, cold_closed_forms, monkeypatch,
+                                                      n, d):
+        # A wrong closed form of h(n, .) shifts the recurrence in the solved
+        # coefficient and at least one other, so with no binomial perturbed
+        # the full-coefficient comparison must still refuse B_n.
+        original = bernoulli._known_even_power_sum
+
+        def perturbed(m):
+            exact = original(m)
+            return exact + Polynomial.monomial(d, var="k") if m == n else exact
+
+        monkeypatch.setattr(bernoulli, "_known_even_power_sum", perturbed)
+        with pytest.raises(ConsistencyError, match=rf"^retrieval of B_{n}: "):
+            retrieve_bernoulli(n)

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -292,3 +293,110 @@ class TestPower:
     def test_rejects_exponent_outside_the_naturals(self, value, kind, n):
         with pytest.raises(ValueError, match=f"^{kind} power must be a non-negative integer$"):
             value ** n
+
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+NON_NUMBERS = ["x", 1.5, None]
+small_coefficients = st.lists(st.one_of(st.integers(-20, 20), rationals), max_size=40)
+scalars = st.one_of(st.integers(-20, 20), rationals)
+
+
+def _residue(operand):
+    """An element's residue, or a scalar as a constant polynomial."""
+    if isinstance(operand, CyclotomicElement):
+        return operand.residue
+    return Polynomial([operand])
+
+
+class TestPolynomialOperators:
+    def test_zero(self):
+        assert Polynomial.zero(var="k") == Polynomial([], var="k")
+        assert Polynomial.zero().is_zero
+
+    @given(scalars, polynomials)
+    def test_scalar_minus_polynomial(self, s, p):
+        assert s - p == Polynomial([s]) - p
+        assert s - p == -(p - s)
+
+    @given(polynomials)
+    def test_equal_polynomials_hash_equal(self, p):
+        twin = Polynomial(list(p.coeffs) + [0, 0], var="k" if p.var == "x" else "x")
+        assert twin == p
+        assert hash(twin) == hash(p)
+
+    @pytest.mark.parametrize("op", sorted(OPERATORS))
+    @pytest.mark.parametrize("other", NON_NUMBERS, ids=repr)
+    def test_unsupported_operands_raise_type_error(self, op, other):
+        p = Polynomial([1, 2])
+        with pytest.raises(TypeError):
+            OPERATORS[op](p, other)
+        with pytest.raises(TypeError):
+            OPERATORS[op](other, p)
+        assert (p == other) is False
+
+    def test_unsupported_divisors_raise_type_error(self):
+        with pytest.raises(TypeError):
+            Polynomial([1, 2]) / "x"
+        with pytest.raises(TypeError):
+            divmod(Polynomial([1, 2]), 2)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError, match="zero scalar"):
+            Polynomial([1, 2]) / 0
+        with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+            divmod(Polynomial([1, 2]), Polynomial([]))
+
+    def test_negative_degrees_rejected(self):
+        with pytest.raises(ValueError, match="monomial degree"):
+            Polynomial.monomial(-1)
+        with pytest.raises(ValueError, match="coefficient degree"):
+            Polynomial([1, 2]).coefficient(-1)
+
+    def test_immutable(self):
+        p = Polynomial([1, 2])
+        with pytest.raises(AttributeError, match="immutable"):
+            p.coeffs = (3,)
+        with pytest.raises(AttributeError, match="immutable"):
+            CyclotomicElement(5, p).residue = p
+
+
+class TestCyclotomicOperators:
+    @given(st.integers(1, 30), small_coefficients, small_coefficients, scalars,
+           st.sampled_from(sorted(OPERATORS)), st.sampled_from(["both", "left", "right"]))
+    def test_operators_act_on_residues(self, k, a, b, s, op, elements):
+        # Every a op b, with a scalar on either side or none, is the residue
+        # of the same operation on the two residues.
+        left = s if elements == "right" else CyclotomicElement(k, Polynomial(a))
+        right = s if elements == "left" else CyclotomicElement(k, Polynomial(b))
+        got = OPERATORS[op](left, right)
+        assert isinstance(got, CyclotomicElement)
+        assert got.modulus_k == k
+        assert got == CyclotomicElement(k, OPERATORS[op](_residue(left), _residue(right)))
+
+    @given(st.integers(1, 30), small_coefficients, small_coefficients)
+    def test_negation_and_equal_hashes(self, k, a, b):
+        elem = CyclotomicElement(k, Polynomial(a))
+        assert -elem == CyclotomicElement(k, -Polynomial(a))
+        # A multiple of Phi_k added to the representative changes nothing.
+        twin = CyclotomicElement(k, Polynomial(a) + cyclotomic_polynomial(k) * Polynomial(b))
+        assert twin == elem
+        assert hash(twin) == hash(elem)
+
+    @pytest.mark.parametrize("op", sorted(OPERATORS))
+    @pytest.mark.parametrize("other", NON_NUMBERS + [Polynomial([1, 1])], ids=repr)
+    def test_unsupported_operands_raise_type_error(self, op, other):
+        elem = cyclo_root_power(6, 1)
+        with pytest.raises(TypeError):
+            OPERATORS[op](elem, other)
+        with pytest.raises(TypeError):
+            OPERATORS[op](other, elem)
+        assert (elem == other) is False
+
+    @pytest.mark.parametrize("op", sorted(OPERATORS))
+    def test_mixed_moduli_rejected(self, op):
+        with pytest.raises(ValueError, match="^mixed cyclotomic moduli 4 and 5$"):
+            OPERATORS[op](cyclo_root_power(4, 1), cyclo_root_power(5, 1))
+
+    def test_repr(self):
+        assert repr(cyclo_root_power(4, 3)) == "CyclotomicElement(k=4, residue=-x)"
+        assert repr(CyclotomicElement(3, Fraction(1, 2))) == "CyclotomicElement(k=3, residue=1/2)"
