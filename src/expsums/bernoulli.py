@@ -1,13 +1,18 @@
 """Bernoulli numbers two independent ways.
 
-``bernoulli_oracle`` runs the defining recurrence sum_{j=0}^{n} C(n+1, j) B_j
-= 0 with B_0 = 1 (which fixes B_1 = -1/2), summing each step as one integer
-over the lcm of the earlier denominators.  ``retrieve_bernoulli`` recovers
-B_n a second way, sharing no code with the oracle.  In Faulhaber's closed
-form of h(p, .), p = n+1 (p = 1 for n = 1), B_n enters exactly one
-coefficient, that of k^(p-n+1), with weight (-1)^n C(p+1, n)/(p+1).
-Retrieval reads B_n off that coefficient of the odd-exponent halving
-recurrence, then insists the two polynomials agree in every coefficient.
+``bernoulli_oracle`` reads even-index B_n off the tangent number T_(n/2),
+B_n = (-1)^(n/2-1) n T_(n/2) / (2^n (2^n - 1)), and grows the tangent
+numbers with Brent and Harvey's triangle ("Fast computation of Bernoulli,
+Tangent and Secant numbers", arXiv:1108.0286), whose entries are sums of
+small multiples of their neighbours, so no two large integers are multiplied;
+B_0 = 1, B_1 = -1/2 and the odd B_n, n >= 3, vanish.
+
+``retrieve_bernoulli`` recovers B_n a second way, sharing no code with the
+oracle.  In Faulhaber's closed form of h(p, .), p = n+1 (p = 1 for n = 1),
+B_n enters exactly one coefficient, that of k^(p-n+1), with weight
+(-1)^n C(p+1, n)/(p+1).  Retrieval reads B_n off that coefficient of the
+odd-exponent halving recurrence, then insists the two polynomials agree in
+every coefficient.
 
 The lower closed forms h(j, .), j < n, come from the memoised recursion that
 also serves ``h_polynomial``, so each is built once for all n.  The memo is
@@ -17,7 +22,6 @@ so it never reads a polynomial built from ``bernoulli_oracle``.
 
 from __future__ import annotations
 
-import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,22 +33,47 @@ from .exact import Polynomial, poly_coefficient, polynomial_from_points
 from .power_sums import _closed_form, faulhaber_polynomial, h_naive, odd_recurrence_polynomial
 
 
+# Tangent numbers T_1, T_2, ... and the column of Brent and Harvey's triangle
+# that ends in the last of them.  Module lists and not an lru_cache: both are
+# grown in place, so asking for every n <= N costs one O(N^2) pass, where a
+# memo per n would rebuild the triangle for each n.  The column (m entries for
+# T_m) is updated in place, which keeps peak memory near that of the values:
+# a row of Seidel's boustrophedon reaching the same T_m is twice as long, and
+# keeping the end of every row stranded the memory of the freed rows.
+_TANGENT = [1]
+_COLUMN = [1]
+
+
+def _tangent(m: int) -> int:
+    """T_m (m >= 1), from as many new triangle columns as the table lacks.
+
+    Column j holds U(1, j), ..., U(j, j), where U(1, j) = (j-1)!,
+    U(k, j) = (j-k) U(k, j-1) + (j-k+2) U(k-1, j) and T_j = U(j, j).
+    """
+    col = _COLUMN
+    while len(_TANGENT) < m:
+        j = len(col)  # column j becomes column j+1, top to bottom
+        col[0] *= j
+        for k in range(1, j):
+            col[k] = (j - k) * col[k] + (j - k + 2) * col[k - 1]
+        col.append(2 * col[-1])
+        _TANGENT.append(col[-1])
+    return _TANGENT[m - 1]
+
+
 @lru_cache(maxsize=None)
 def bernoulli_oracle(n: int) -> Fraction:
-    """Exact B_n (convention B_1 = -1/2) from the defining recurrence."""
+    """Exact B_n (convention B_1 = -1/2) from the tangent numbers."""
     if n < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {n}")
     if n == 0:
         return Fraction(1)
-    prior = [bernoulli_oracle(j) for j in range(n)]
-    den = math.lcm(*[b.denominator for b in prior])
-    acc = 0  # sum_{j<n} C(n+1, j) B_j, times den
-    c = 1  # C(n+1, j)
-    for j, b in enumerate(prior):
-        if b:
-            acc += c * b.numerator * (den // b.denominator)
-        c = c * (n + 1 - j) // (j + 1)
-    return Fraction(-acc, den * (n + 1))
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    sign = 1 if n % 4 == 2 else -1  # (-1)^(n/2 - 1)
+    return Fraction(sign * n * _tangent(n // 2), (1 << n) * ((1 << n) - 1))
 
 
 @dataclass(frozen=True)

@@ -292,9 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_powersum)
 
     b = sub.add_parser("bernoulli", help="Bernoulli numbers (oracle or retrieval)")
-    b.add_argument("--n", type=int)
+    which = b.add_mutually_exclusive_group()
+    which.add_argument("--n", type=int)
+    which.add_argument("--table", type=int)
     b.add_argument("--method", choices=["oracle", "retrieve"], default="oracle")
-    b.add_argument("--table", type=int)
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=_cmd_bernoulli)
 

@@ -92,6 +92,27 @@ def akiyama_tanigawa_bernoulli(nmax: int) -> list[Fraction]:
     return out
 
 
+def seidel_zigzag(nmax: int) -> list[int]:
+    """Zigzag numbers A_0..A_nmax (A_(2m-1) is the tangent number T_m): each
+    row of Seidel's boustrophedon is the running sum of the previous row read
+    backwards, and A_i ends row i."""
+    row, out = [1], [1]
+    for _ in range(nmax):
+        new = [0]
+        for x in reversed(row):
+            new.append(new[-1] + x)
+        row = new
+        out.append(row[-1])
+    return out
+
+
+def von_staudt_clausen_denominator(n: int) -> int:
+    """The denominator of B_n, n >= 2 even: the product of the primes p with
+    (p - 1) | n (von Staudt-Clausen), by trial division."""
+    return math.prod(p for p in range(2, n + 2)
+                     if n % (p - 1) == 0 and all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+
 def brute_totient(k: int) -> int:
     return sum(1 for n in range(k) if math.gcd(n, k) == 1)
 

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +14,12 @@ from expsums import (
     retrieve_bernoulli,
     retrieve_bernoulli_detail,
 )
-from helpers import PERTURBED_BINOMIALS, akiyama_tanigawa_bernoulli
+from helpers import (
+    PERTURBED_BINOMIALS,
+    akiyama_tanigawa_bernoulli,
+    seidel_zigzag,
+    von_staudt_clausen_denominator,
+)
 
 # Classical table under the B_1 = -1/2 convention.
 KNOWN = {
@@ -46,10 +52,22 @@ class TestOracle:
             assert bernoulli_oracle(2 * m + 1) == 0
 
     def test_defining_recurrence_holds(self):
-        from expsums import binomial
+        # sum_{j<=n} C(n+1, j) B_j = 0 for n >= 1, up to the CLI cap n = 500.
+        for n in [*range(1, 121), 500]:
+            assert sum(math.comb(n + 1, j) * bernoulli_oracle(j) for j in range(n + 1)) == 0, n
 
-        for n in range(1, 121):
-            assert sum(binomial(n + 1, j) * bernoulli_oracle(j) for j in range(n + 1)) == 0
+    def test_von_staudt_clausen_denominators(self):
+        for n in range(2, 501, 2):
+            assert bernoulli_oracle(n).denominator == von_staudt_clausen_denominator(n), n
+
+    def test_signs_alternate(self):
+        for n in range(2, 501, 2):
+            assert (bernoulli_oracle(n) > 0) == (n % 4 == 2), n
+
+    def test_von_staudt_clausen_check_can_fail(self):
+        # Adding 1/2 cancels the prime 2 from the denominator of B_500.
+        perturbed = bernoulli_oracle(500) + Fraction(1, 2)
+        assert perturbed.denominator != von_staudt_clausen_denominator(500)
 
     def test_matches_akiyama_tanigawa(self):
         assert [bernoulli_oracle(n) for n in range(121)] == akiyama_tanigawa_bernoulli(120)
@@ -57,6 +75,45 @@ class TestOracle:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_oracle(-1)
+
+
+@pytest.fixture
+def fresh_tangents(monkeypatch):
+    """Give the oracle an empty tangent table and an empty value cache;
+    returns a function that does it again."""
+    def reset():
+        monkeypatch.setattr(bernoulli, "_TANGENT", [1])
+        monkeypatch.setattr(bernoulli, "_COLUMN", [1])
+        bernoulli_oracle.cache_clear()
+
+    reset()
+    yield reset
+    bernoulli_oracle.cache_clear()
+
+
+class TestTangentTable:
+    def test_cold_oracle_grows_the_table_once(self, fresh_tangents):
+        # B_500 needs T_1..T_250; every lower index is then a table read.
+        value = bernoulli_oracle(500)
+        assert len(bernoulli._TANGENT) == 250
+        values = [bernoulli_oracle(n) for n in range(501)]
+        assert len(bernoulli._TANGENT) == 250
+        assert values[500] == value
+
+    def test_request_order_does_not_matter(self, fresh_tangents):
+        descending = [bernoulli_oracle(n) for n in range(500, -1, -1)]
+        fresh_tangents()
+        ascending = [bernoulli_oracle(n) for n in range(501)]
+        assert len(bernoulli._TANGENT) == 250
+        assert descending[::-1] == ascending
+
+    def test_tangent_numbers(self, fresh_tangents):
+        # OEIS A000182, then the odd zigzag numbers of Seidel's boustrophedon.
+        assert [bernoulli._tangent(m) for m in range(1, 9)] == [
+            1, 2, 16, 272, 7936, 353792, 22368256, 1903757312,
+        ]
+        zigzag = seidel_zigzag(199)
+        assert [bernoulli._tangent(m) for m in range(1, 101)] == zigzag[1::2]
 
 
 class TestRetrieval:

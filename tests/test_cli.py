@@ -112,6 +112,12 @@ class TestBernoulli:
         assert (status, out) == (2, "")
         assert err == "error: retrieval is defined for n = 1 and even n >= 2, got n=0\n"
 
+    def test_n_and_table_together_are_a_usage_error(self, capsys):
+        # argparse refuses the pair: --table must not silently drop --n.
+        status, out, err = run(capsys, "bernoulli", "--n", "4", "--table", "3")
+        assert (status, out) == (2, "")
+        assert "--n" in err and "--table" in err
+
 
 class TestCompositions:
     def test_text_lines(self, capsys):
