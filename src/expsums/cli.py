@@ -106,6 +106,8 @@ def _cmd_bernoulli(args) -> int:
     from .exact import format_rational
 
     if args.table is not None:
+        if args.method is not None:
+            raise ValueError("--method applies to --n, not to --table")
         _cap(args.table, 60, "--table")
         table = bernoulli_table(args.table)
         if args.json:
@@ -118,14 +120,14 @@ def _cmd_bernoulli(args) -> int:
         return 0
     if args.n is None:
         raise ValueError("provide --n with --method, or --table NMAX")
-    if args.method == "oracle":
-        _cap(args.n, 500, "--n")
-        value = bernoulli_oracle(args.n)
-    else:
+    if args.method == "retrieve":
         _cap(args.n, 60, "--n")
         value = retrieve_bernoulli(args.n)
+    else:
+        _cap(args.n, 500, "--n")
+        value = bernoulli_oracle(args.n)
     if args.json:
-        _print_json({"method": args.method, "n": args.n,
+        _print_json({"method": args.method or "oracle", "n": args.n,
                      "value": format_rational(value)})
     else:
         print(format_rational(value))
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = b.add_mutually_exclusive_group()
     which.add_argument("--n", type=int)
     which.add_argument("--table", type=int)
-    b.add_argument("--method", choices=["oracle", "retrieve"], default="oracle")
+    b.add_argument("--method", choices=["oracle", "retrieve"])
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=_cmd_bernoulli)
 

@@ -1,7 +1,7 @@
 """Desk-scale numerics: Dirichlet characters mod k, Gauss sums, the power
 moments S(m, chi) = sum_{j=1}^{k} (j/k)^m G(j, chi), L(r, chi), and a
-magnitude check of the identity tying L(r, chi) to Bernoulli-weighted
-moments of Gauss sums.
+signed check of the identity tying L(r, chi) to Bernoulli-weighted moments
+of Gauss sums.
 
 Characters are stored as explicit value tables (complex doubles, zero off the
 units); the unit group is decomposed into cyclic components so enumeration is
@@ -17,7 +17,6 @@ are cut and first-order bounds on rounding.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import itertools
 import math
 import types
@@ -340,9 +339,9 @@ def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
 
 @dataclass(frozen=True)
 class AlkanReport:
-    """Magnitude comparison of k r! / (2^(r-1) pi^r) |L(r, chi)| against
-    |sum_q C(r, q) B_q S(r-q, chi)|; the sign is recorded, never asserted.
-    ``error_bound`` is the relative error E the check can certify."""
+    """Check of k r! / (2^(r-1) pi^r) L(r, chi) = (-1)^(r+1) i^r sum_q C(r, q)
+    B_q S(r-q, chi): the magnitude ``ratio``, ``sign_observed`` and
+    ``error_bound``, the relative error E the check can certify."""
 
     modulus: int
     r: int
@@ -368,18 +367,20 @@ def _require_alkan_range(r: int, tol: float) -> None:
 
 
 def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
-    """PASS when the magnitude ratio of the two sides is within tol of 1.
+    """PASS when the magnitude ratio is within tol of 1 and the sign (-1)^(r+1).
 
     Requires a non-principal character whose parity matches r (a mismatch is
-    reported as SKIPPED, not an error) and small r.  The observed sign is the
-    real sign of the full complex ratio with the i^r prefactor included.
+    reported as SKIPPED, not an error), primitive or not (the Fourier series
+    of B_r(x), Apostol ch. 12), and small r.  The observed sign is the real
+    sign of the full complex ratio with the i^r prefactor included.
 
     L(r, chi) is summed to a tail below the unit roundoff, whatever tol is.
     The ratio carries a stated error bound E (``error_bound``): the relative
     L error (tail_bound + rounding_bound) / |L| plus a first-order rounding
     allowance for the Gauss-sum side, the prefactor and the quotient.  A tol
     below E is reported as FAIL with that reason, whatever the ratio, because
-    double precision cannot certify it.
+    double precision cannot certify it; then a magnitude miss is a FAIL with
+    no reason, a wrong sign one naming both signs.
     """
     _require_alkan_range(r, tol)
     if chi.principal:
@@ -415,21 +416,22 @@ def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
                    + rhs_error / rhs_magnitude + (r + 11) * _U)
     if tol < error_bound:
         status, reason = "FAIL", f"tol {tol:g} is below the certifiable error {error_bound:.2g}"
-    elif abs(ratio - 1.0) <= tol:
-        status, reason = "PASS", ""
-    else:
+    elif abs(ratio - 1.0) > tol:
         status, reason = "FAIL", ""
+    elif sign_observed != (-1) ** (r + 1):
+        status, reason = "FAIL", f"sign {sign_observed:+d}, expected {(-1) ** (r + 1):+d}"
+    else:
+        status, reason = "PASS", ""
     return AlkanReport(k, r, chi.index, lhs_magnitude, rhs_magnitude, ratio,
                        sign_observed, status, reason, error_bound)
 
 
 def alkan_sweep(k: int, r: int, tol: float,
                 include_imprimitive: bool = False) -> list[AlkanReport]:
-    """Run the magnitude check across the characters mod k.
+    """Run the signed check across the characters mod k: PASS, FAIL or SKIPPED.
 
     Principal and (by default) imprimitive characters are skipped; with
-    ``include_imprimitive`` the latter are evaluated but only REPORTED, never
-    failed, since the identity's scope for them is not pinned down.
+    ``include_imprimitive`` the latter are gated like primitive ones.
     """
     _require_alkan_range(r, tol)
     reports = []
@@ -441,9 +443,5 @@ def alkan_sweep(k: int, r: int, tol: float,
             reports.append(_skipped(k, r, chi.index,
                                     f"imprimitive (conductor {chi.conductor})"))
             continue
-        report = alkan_check(r, chi, tol)
-        if not chi.primitive and report.status in ("PASS", "FAIL"):
-            report = dataclasses.replace(report, status="REPORTED",
-                                         reason=f"imprimitive (conductor {chi.conductor})")
-        reports.append(report)
+        reports.append(alkan_check(r, chi, tol))
     return reports

@@ -118,6 +118,18 @@ class TestBernoulli:
         assert (status, out) == (2, "")
         assert "--n" in err and "--table" in err
 
+    @pytest.mark.parametrize("method", ["oracle", "retrieve"])
+    def test_method_and_table_together_are_a_usage_error(self, capsys, method):
+        # The table is always retrieved and checked against the oracle, so a
+        # --method there would have nothing to choose.
+        status, out, err = run(capsys, "bernoulli", "--table", "3", "--method", method)
+        assert (status, out, err) == (2, "", "error: --method applies to --n, not to --table\n")
+
+    def test_oracle_is_the_default_method(self, capsys):
+        status, out, _ = run(capsys, "bernoulli", "--n", "12", "--json")
+        assert status == 0
+        assert json.loads(out) == {"method": "oracle", "n": 12, "value": "-691/2730"}
+
 
 class TestCompositions:
     def test_text_lines(self, capsys):
@@ -254,6 +266,15 @@ class TestVerify:
         assert status == 0
         assert out.endswith("\nPASS (1 characters, 3 skipped)\n")
 
+    def test_alkan_gates_imprimitive_when_asked(self, capsys):
+        # Mod 12 at r = 1 both parity-eligible characters are imprimitive.
+        status, out, _ = run(capsys, "verify", "alkan", "--k", "12", "--r", "1",
+                             "--include-imprimitive")
+        assert status == 0
+        assert [line.split()[1] for line in out.splitlines()[:-1]] == [
+            "SKIPPED", "PASS", "PASS", "SKIPPED"]
+        assert out.endswith("\nPASS (2 characters, 2 skipped)\n")
+
     def test_guard_names_flag(self, capsys):
         status, _, err = run(capsys, "verify", "prop1", "--pmax", "99",
                              "--kmax", "8")
@@ -311,6 +332,15 @@ class TestGatesCanFail:
         assert status == 1
         assert "chi_1: FAIL (zero right-hand side)\n" in out
         assert out.endswith("FAIL (1 of 1 characters failed, 1 skipped)\n")
+
+    def test_wrong_sign_is_reported(self, capsys, monkeypatch):
+        # A negated right-hand side keeps every magnitude: only the sign fails.
+        s_sum = dirichlet.s_sum
+        monkeypatch.setattr(dirichlet, "s_sum", lambda m, chi: -s_sum(m, chi))
+        status, out, _ = run(capsys, "verify", "alkan", "--k", "5", "--r", "2")
+        assert status == 1
+        assert " sign=+1 (sign +1, expected -1)\n" in out
+        assert out.endswith("FAIL (1 of 1 characters failed, 3 skipped)\n")
 
 
 class TestAlkanRange:

@@ -280,27 +280,22 @@ class TestAlkanCheck:
         assert any("imprimitive" in r.reason for r in skipped)
         assert all(r.status != "FAIL" for r in reports)
 
-    def test_sweep_reports_imprimitive_when_asked(self):
-        # r = 1 so the odd imprimitive characters mod 12 are parity-eligible.
-        reports = alkan_sweep(12, 1, 1e-5, include_imprimitive=True)
-        statuses = {r.chi_index: r.status for r in reports}
-        assert "REPORTED" in statuses.values()
-        assert all(s != "FAIL" for s in statuses.values())
-
     def test_ratio_within_stated_error_bound(self):
         # E is a first-order bound on the floating error of the ratio; every
-        # primitive matched-parity check up to k = 60 must sit inside it.
+        # matched-parity check up to k = 60, imprimitive characters included,
+        # must sit inside it and carry the sign (-1)^(r+1).
         checked = 0
         for k in range(3, 61):
             for r in range(1, 5):
-                for report in alkan_sweep(k, r, 1e-5):
+                for report in alkan_sweep(k, r, 1e-5, include_imprimitive=True):
                     if report.ratio is None:
                         continue
                     checked += 1
                     assert report.status == "PASS", (k, r, report.chi_index)
                     assert abs(report.ratio - 1) <= report.error_bound, (k, r, report)
                     assert report.error_bound < 1e-8
-        assert checked > 1000
+                    assert report.sign_observed == (-1) ** (r + 1), (k, r, report)
+        assert checked == 2084
 
     @pytest.mark.parametrize("k, r", [(4, 1), (20, 2)])
     def test_tolerance_below_error_bound_fails(self, k, r):
@@ -339,12 +334,46 @@ ALKAN_MUTATIONS = [
 ]
 
 
+def _perturb(monkeypatch, perturbation):
+    if perturbation == "halve-b0":
+        monkeypatch.setattr(dirichlet, "bernoulli_oracle", _halved_b0)
+    else:
+        monkeypatch.setattr(dirichlet, "binomial", PERTURBED_BINOMIALS[perturbation])
+
+
+def _checked(k, r, include_imprimitive=False):
+    return [rep for rep in alkan_sweep(k, r, 1e-5, include_imprimitive=include_imprimitive)
+            if rep.status != "SKIPPED"]
+
+
 class TestGatesCanFail:
     @pytest.mark.parametrize("perturbation, k, r", ALKAN_MUTATIONS)
     def test_perturbed_identity_fails(self, monkeypatch, perturbation, k, r):
-        if perturbation == "halve-b0":
-            monkeypatch.setattr(dirichlet, "bernoulli_oracle", _halved_b0)
-        else:
-            monkeypatch.setattr(dirichlet, "binomial", PERTURBED_BINOMIALS[perturbation])
-        checked = [rep for rep in alkan_sweep(k, r, 1e-5) if rep.status != "SKIPPED"]
+        _perturb(monkeypatch, perturbation)
+        checked = _checked(k, r)
         assert checked and all(rep.status == "FAIL" for rep in checked)
+
+    def test_imprimitive_characters_are_gated(self, monkeypatch):
+        # At r = 1 the parity-eligible characters mod 12 are the odd ones, of
+        # conductor 3 and 4: every check of this sweep is of an imprimitive one.
+        imprimitive = [c.index for c in enumerate_characters(12)
+                       if c.parity == "odd" and not c.primitive]
+        checked = _checked(12, 1, include_imprimitive=True)
+        assert [rep.chi_index for rep in checked] == imprimitive
+        assert [rep.status for rep in checked] == ["PASS", "PASS"]
+        for perturbation in ("drop-a0-term", "halve-b0"):
+            with monkeypatch.context() as patch:
+                _perturb(patch, perturbation)
+                checked = _checked(12, 1, include_imprimitive=True)
+                assert [rep.status for rep in checked] == ["FAIL", "FAIL"], perturbation
+
+    def test_wrong_sign_fails(self, monkeypatch):
+        # Negating S(m, chi) flips the right-hand side and keeps its
+        # magnitude, so only the sign check can catch it.
+        monkeypatch.setattr(dirichlet, "s_sum", lambda m, chi: -s_sum(m, chi))
+        checked = _checked(13, 2)
+        assert checked
+        for rep in checked:
+            assert abs(rep.ratio - 1) <= 1e-5
+            assert (rep.status, rep.sign_observed) == ("FAIL", 1)
+            assert rep.reason == "sign +1, expected -1"
