@@ -5,7 +5,10 @@ B_n = (-1)^(n/2-1) n T_(n/2) / (2^n (2^n - 1)), and grows the tangent
 numbers with Brent and Harvey's triangle ("Fast computation of Bernoulli,
 Tangent and Secant numbers", arXiv:1108.0286), whose entries are sums of
 small multiples of their neighbours, so no two large integers are multiplied;
-B_0 = 1, B_1 = -1/2 and the odd B_n, n >= 3, vanish.
+B_0 = 1, B_1 = -1/2 and the odd B_n, n >= 3, vanish.  T_m is read from the
+smallest table T_1..T_(2^e) that holds it; each table is built once, one
+column at a time, and kept by an lru_cache, so asking for every n <= N in
+any order costs O(N^2) triangle entries and no module state is mutated.
 
 ``retrieve_bernoulli`` recovers B_n a second way, sharing no code with the
 oracle.  In Faulhaber's closed form of h(p, .), p = n+1 (p = 1 for n = 1),
@@ -33,32 +36,26 @@ from .exact import Polynomial, poly_coefficient, polynomial_from_points
 from .power_sums import _closed_form, faulhaber_polynomial, h_naive, odd_recurrence_polynomial
 
 
-# Tangent numbers T_1, T_2, ... and the column of Brent and Harvey's triangle
-# that ends in the last of them.  Module lists and not an lru_cache: both are
-# grown in place, so asking for every n <= N costs one O(N^2) pass, where a
-# memo per n would rebuild the triangle for each n.  The column (m entries for
-# T_m) is updated in place, which keeps peak memory near that of the values:
-# a row of Seidel's boustrophedon reaching the same T_m is twice as long, and
-# keeping the end of every row stranded the memory of the freed rows.
-_TANGENT = [1]
-_COLUMN = [1]
-
-
-def _tangent(m: int) -> int:
-    """T_m (m >= 1), from as many new triangle columns as the table lacks.
+@lru_cache(maxsize=None)
+def _tangents(size: int) -> tuple[int, ...]:
+    """T_1..T_size, from the first size columns of the triangle.
 
     Column j holds U(1, j), ..., U(j, j), where U(1, j) = (j-1)!,
     U(k, j) = (j-k) U(k, j-1) + (j-k+2) U(k-1, j) and T_j = U(j, j).
     """
-    col = _COLUMN
-    while len(_TANGENT) < m:
-        j = len(col)  # column j becomes column j+1, top to bottom
+    col, out = [1], [1]
+    for j in range(1, size):  # column j becomes column j+1, top to bottom
         col[0] *= j
         for k in range(1, j):
             col[k] = (j - k) * col[k] + (j - k + 2) * col[k - 1]
         col.append(2 * col[-1])
-        _TANGENT.append(col[-1])
-    return _TANGENT[m - 1]
+        out.append(col[-1])
+    return tuple(out)
+
+
+def _tangent(m: int) -> int:
+    """T_m (m >= 1), from the smallest power-of-two table that holds it."""
+    return _tangents(1 << (m - 1).bit_length())[m - 1]
 
 
 @lru_cache(maxsize=None)

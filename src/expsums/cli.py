@@ -250,6 +250,8 @@ def _cmd_verify_alkan(args) -> int:
                           include_imprimitive=args.include_imprimitive)
     n_fail = sum(1 for rep in reports if rep.status == "FAIL")
     n_skip = sum(1 for rep in reports if rep.status == "SKIPPED")
+    if n_skip == len(reports):  # a run that checks nothing must not PASS
+        raise ValueError(f"--k {args.k} --r {args.r} checks no character ({n_skip} skipped)")
     tally, status = _verdict(n_fail, len(reports) - n_skip, "characters",
                              f", {n_skip} skipped" if n_skip else "")
     if args.json:

@@ -312,7 +312,7 @@ def run_prop1_exact(pmax: int, kmax: int) -> SweepResult:
 
 
 def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
-    """Floating sweep over m in {1, k-1, floor(k/2) when admissible}.
+    """Floating sweep over m in {1, k-1, floor(k/2)}.
 
     The f and g sums for exponents 0..pmax are built once per (k, m) and
     shared by every p.
@@ -323,10 +323,7 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
     tables: dict[tuple[int, int], tuple[list[complex], list[complex]]] = {}
     for p in range(1, pmax + 1):
         for k in range(2, kmax + 1):
-            ms = {1, k - 1}
-            if (k // 2) % k != 0:
-                ms.add(k // 2)
-            for m in sorted(ms):
+            for m in sorted({1, k // 2, k - 1}):
                 cases += 1
                 fg = tables.get((k, m))
                 if fg is None:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -78,34 +80,57 @@ class TestOracle:
 
 
 @pytest.fixture
-def fresh_tangents(monkeypatch):
-    """Give the oracle an empty tangent table and an empty value cache;
+def fresh_tangents():
+    """Give the oracle no tangent tables and an empty value cache;
     returns a function that does it again."""
     def reset():
-        monkeypatch.setattr(bernoulli, "_TANGENT", [1])
-        monkeypatch.setattr(bernoulli, "_COLUMN", [1])
+        bernoulli._tangents.cache_clear()
         bernoulli_oracle.cache_clear()
 
     reset()
     yield reset
-    bernoulli_oracle.cache_clear()
+    reset()
 
 
 class TestTangentTable:
     def test_cold_oracle_grows_the_table_once(self, fresh_tangents):
-        # B_500 needs T_1..T_250; every lower index is then a table read.
-        value = bernoulli_oracle(500)
-        assert len(bernoulli._TANGENT) == 250
-        values = [bernoulli_oracle(n) for n in range(501)]
-        assert len(bernoulli._TANGENT) == 250
-        assert values[500] == value
+        # B_500 needs T_250, read from the one table T_1..T_256.
+        bernoulli_oracle(500)
+        assert bernoulli._tangents.cache_info().misses == 1
 
     def test_request_order_does_not_matter(self, fresh_tangents):
+        # Either order builds at most the tables of sizes 1, 2, 4, ..., 256.
         descending = [bernoulli_oracle(n) for n in range(500, -1, -1)]
+        assert bernoulli._tangents.cache_info().currsize <= 9
         fresh_tangents()
         ascending = [bernoulli_oracle(n) for n in range(501)]
-        assert len(bernoulli._TANGENT) == 250
+        assert bernoulli._tangents.cache_info().currsize <= 9
         assert descending[::-1] == ascending
+
+    def test_cold_oracle_is_thread_safe(self, fresh_tangents):
+        # Four threads ask a cold oracle for distinct B_n while the
+        # interpreter switches threads as often as it can.
+        zigzag = seidel_zigzag(430)
+        ns = list(range(400, 419, 2))
+        want = {n: Fraction((1 if n % 4 == 2 else -1) * n * zigzag[n - 1],
+                            (1 << n) * ((1 << n) - 1)) for n in ns}
+        got = {}
+
+        def ask(part):
+            for n in part:
+                got[n] = bernoulli_oracle(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(ns[i::4],)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
     def test_tangent_numbers(self, fresh_tangents):
         # OEIS A000182, then the odd zigzag numbers of Seidel's boustrophedon.

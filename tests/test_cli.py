@@ -275,6 +275,20 @@ class TestVerify:
             "SKIPPED", "PASS", "PASS", "SKIPPED"]
         assert out.endswith("\nPASS (2 characters, 2 skipped)\n")
 
+    @pytest.mark.parametrize("k, r, skipped", [("198", "2", 60), ("3", "2", 2), ("12", "1", 4)])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_alkan_checking_nothing_is_a_usage_error(self, capsys, k, r, skipped, json_flag):
+        # Every character skipped: not a vacuous "PASS (0 characters, ...)".
+        status, out, err = run(capsys, "verify", "alkan", "--k", k, "--r", r, *json_flag)
+        assert (status, out) == (2, "")
+        assert err == f"error: --k {k} --r {r} checks no character ({skipped} skipped)\n"
+
+    def test_alkan_imprimitive_characters_are_checked_where_no_primitive_one_is(self, capsys):
+        status, out, _ = run(capsys, "verify", "alkan", "--k", "198", "--r", "2",
+                             "--include-imprimitive")
+        assert status == 0
+        assert out.endswith("\nPASS (29 characters, 31 skipped)\n")
+
     def test_guard_names_flag(self, capsys):
         status, _, err = run(capsys, "verify", "prop1", "--pmax", "99",
                              "--kmax", "8")
