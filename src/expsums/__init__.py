@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 # Home module of every public name: the one list of them.
 _HOMES = {
     "bernoulli": (
-        "BernoulliTable", "RetrievalDetail", "bernoulli_oracle",
-        "bernoulli_table", "retrieve_bernoulli", "retrieve_bernoulli_detail",
+        "BernoulliTable", "RetrievalDetail", "bernoulli_table",
+        "retrieve_bernoulli", "retrieve_bernoulli_detail",
     ),
     "compositions": (
         "Composition", "DecreasingChain", "chain_to_composition",
@@ -47,8 +47,8 @@ _HOMES = {
         "run_prop1_float",
     ),
     "power_sums": (
-        "eq4_check", "faulhaber_polynomial", "h_faulhaber", "h_naive",
-        "h_polynomial", "h_recurrence", "odd_recurrence_polynomial",
+        "bernoulli_oracle", "eq4_check", "faulhaber_polynomial", "h_faulhaber",
+        "h_naive", "h_polynomial", "h_recurrence", "odd_recurrence_polynomial",
     ),
 }
 _HOME_OF = {name: home for home, names in _HOMES.items() for name in names}

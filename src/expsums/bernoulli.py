@@ -1,21 +1,12 @@
-"""Bernoulli numbers two independent ways.
+"""Bernoulli numbers retrieved as the paper does, and a table of them.
 
-``bernoulli_oracle`` reads even-index B_n off the tangent number T_(n/2),
-B_n = (-1)^(n/2-1) n T_(n/2) / (2^n (2^n - 1)), and grows the tangent
-numbers with Brent and Harvey's triangle ("Fast computation of Bernoulli,
-Tangent and Secant numbers", arXiv:1108.0286), whose entries are sums of
-small multiples of their neighbours, so no two large integers are multiplied;
-B_0 = 1, B_1 = -1/2 and the odd B_n, n >= 3, vanish.  T_m is read from the
-smallest table T_1..T_(2^e) that holds it; each table is built once, one
-column at a time, and kept by an lru_cache, so asking for every n <= N in
-any order costs O(N^2) triangle entries and no module state is mutated.
-
-``retrieve_bernoulli`` recovers B_n a second way, sharing no code with the
-oracle.  In Faulhaber's closed form of h(p, .), p = n+1 (p = 1 for n = 1),
-B_n enters exactly one coefficient, that of k^(p-n+1), with weight
-(-1)^n C(p+1, n)/(p+1).  Retrieval reads B_n off that coefficient of the
-odd-exponent halving recurrence, then insists the two polynomials agree in
-every coefficient.
+``retrieve_bernoulli`` recovers B_n from power sums alone, sharing no code
+with ``power_sums.bernoulli_oracle``.  In Faulhaber's closed form of
+h(p, .), p = n+1 (p = 1 for n = 1), B_n enters exactly one coefficient, that
+of k^(p-n+1), with weight (-1)^n C(p+1, n)/(p+1).  Retrieval reads B_n off
+that coefficient of the odd-exponent halving recurrence, then insists the two
+polynomials agree in every coefficient.  ``bernoulli_table`` lists retrieved
+values and checks each against the oracle.
 
 The lower closed forms h(j, .), j < n, come from the memoised recursion that
 also serves ``h_polynomial``, so each is built once for all n.  The memo is
@@ -33,44 +24,8 @@ from typing import Mapping
 
 from .errors import ConsistencyError
 from .exact import Polynomial, poly_coefficient, polynomial_from_points
-from .power_sums import _closed_form, faulhaber_polynomial, h_naive, odd_recurrence_polynomial
-
-
-@lru_cache(maxsize=None)
-def _tangents(size: int) -> tuple[int, ...]:
-    """T_1..T_size, from the first size columns of the triangle.
-
-    Column j holds U(1, j), ..., U(j, j), where U(1, j) = (j-1)!,
-    U(k, j) = (j-k) U(k, j-1) + (j-k+2) U(k-1, j) and T_j = U(j, j).
-    """
-    col, out = [1], [1]
-    for j in range(1, size):  # column j becomes column j+1, top to bottom
-        col[0] *= j
-        for k in range(1, j):
-            col[k] = (j - k) * col[k] + (j - k + 2) * col[k - 1]
-        col.append(2 * col[-1])
-        out.append(col[-1])
-    return tuple(out)
-
-
-def _tangent(m: int) -> int:
-    """T_m (m >= 1), from the smallest power-of-two table that holds it."""
-    return _tangents(1 << (m - 1).bit_length())[m - 1]
-
-
-@lru_cache(maxsize=None)
-def bernoulli_oracle(n: int) -> Fraction:
-    """Exact B_n (convention B_1 = -1/2) from the tangent numbers."""
-    if n < 0:
-        raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2:
-        return Fraction(0)
-    sign = 1 if n % 4 == 2 else -1  # (-1)^(n/2 - 1)
-    return Fraction(sign * n * _tangent(n // 2), (1 << n) * ((1 << n) - 1))
+from .power_sums import (_closed_form, bernoulli_oracle, faulhaber_polynomial, h_naive,
+                         odd_recurrence_polynomial)
 
 
 @dataclass(frozen=True)

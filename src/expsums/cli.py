@@ -102,10 +102,11 @@ def _cmd_powersum(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
-    from .bernoulli import bernoulli_oracle, bernoulli_table, retrieve_bernoulli
     from .exact import format_rational
 
     if args.table is not None:
+        from .bernoulli import bernoulli_table
+
         if args.method is not None:
             raise ValueError("--method applies to --n, not to --table")
         _cap(args.table, 60, "--table")
@@ -121,9 +122,13 @@ def _cmd_bernoulli(args) -> int:
     if args.n is None:
         raise ValueError("provide --n with --method, or --table NMAX")
     if args.method == "retrieve":
+        from .bernoulli import retrieve_bernoulli
+
         _cap(args.n, 60, "--n")
         value = retrieve_bernoulli(args.n)
     else:
+        from .power_sums import bernoulli_oracle
+
         _cap(args.n, 500, "--n")
         value = bernoulli_oracle(args.n)
     if args.json:
@@ -217,8 +222,10 @@ def _cmd_verify_prop1(args) -> int:
     if args.float:
         _cap(args.pmax, 12, "--pmax")
         _cap(args.kmax, 512, "--kmax")
-        sweep = run_prop1_float(args.pmax, args.kmax, args.tol)
+        sweep = run_prop1_float(args.pmax, args.kmax, 1e-8 if args.tol is None else args.tol)
     else:
+        if args.tol is not None:  # an exact residual is zero or not: no tolerance
+            raise ValueError("--tol applies to --float, not to the exact sweep")
         _cap(args.pmax, 16, "--pmax")
         _cap(args.kmax, 64, "--kmax")
         sweep = run_prop1_exact(args.pmax, args.kmax)
@@ -321,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--pmax", type=int, required=True)
     vp.add_argument("--kmax", type=int, required=True)
     mode = vp.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--float", action="store_true", default=False)
-    vp.add_argument("--tol", type=_tolerance, default=1e-8)
+    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--float", action="store_true")
+    vp.add_argument("--tol", type=_tolerance)
     vp.add_argument("--json", action="store_true")
     vp.set_defaults(func=_cmd_verify_prop1)
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .bernoulli import bernoulli_oracle
 from .errors import ConsistencyError, DivergenceError
 from .exact import binomial
+from .power_sums import bernoulli_oracle
 
 # Unit roundoff of IEEE double precision.
 _U = 2.0**-53
@@ -55,22 +55,11 @@ def _prime_divisors(n: int) -> list[int]:
     return [p for p, _ in _factorize(n)]
 
 
-def _primitive_root_mod_p(p: int) -> int:
-    if p == 2:
-        return 1
-    qs = _prime_divisors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-    raise ConsistencyError(f"no primitive root found mod {p}")
-
-
-def _odd_prime_power_generator(p: int, e: int) -> int:
-    # A generator mod p lifts to p^e unless g^(p-1) = 1 mod p^2; then g+p does.
-    g = _primitive_root_mod_p(p)
-    if e >= 2 and pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
+def _least_generator(q: int, order: int) -> int:
+    """The least unit of multiplicative order ``order`` mod q (q >= 3)."""
+    ds = _prime_divisors(order)
+    return next(g for g in range(2, q)
+                if pow(g, order, q) == 1 and all(pow(g, order // d, q) != 1 for d in ds))
 
 
 def _crt_lift(a: int, q: int, k: int) -> int:
@@ -101,8 +90,8 @@ class UnitGroupStructure:
 def unit_group_structure(k: int) -> UnitGroupStructure:
     """Decompose (Z/kZ)* via the prime-power factorization of k.
 
-    Odd prime powers contribute one cyclic component (a lifted primitive
-    root); 2^e contributes nothing (e=1), one order-2 component (e=2), or the
+    Odd prime powers contribute one cyclic component (their least generator,
+    lifted); 2^e contributes nothing (e=1), one order-2 component (e=2), or the
     order-2 component of -1 plus the cyclic component of 3 (e>=3).  Every
     generator order and the exhaustive discrete-log table are self-checked.
     """
@@ -118,8 +107,8 @@ def unit_group_structure(k: int) -> UnitGroupStructure:
                 components.append((_crt_lift(q - 1, q, k), 2))
                 components.append((_crt_lift(3, q, k), 2 ** (e - 2)))
         else:
-            g = _odd_prime_power_generator(p, e)
-            components.append((_crt_lift(g, q, k), (p - 1) * p ** (e - 1)))
+            order = (p - 1) * p ** (e - 1)
+            components.append((_crt_lift(_least_generator(q, order), q, k), order))
     generators = tuple(g for g, _ in components)
     orders = tuple(o for _, o in components)
 

@@ -3,13 +3,14 @@
 Rationals are stdlib ``fractions.Fraction`` (always canonical: positive
 denominator, reduced).  Polynomials are dense ascending coefficient lists over
 exact scalars (int or Fraction); the zero polynomial has an empty coefficient
-tuple and degree ``None``.  A product of polynomials clears each operand to
-integer numerators over one common denominator, convolves the integers and
-reduces each output coefficient once, instead of paying a gcd per ``Fraction``
-term.  ``CyclotomicElement`` is a residue in Q[x]/Phi_k(x), the exact stand-in
-for expressions in a primitive k-th root of unity.  One long-division loop,
-``Polynomial.__divmod__``, serves the whole cyclotomic layer: it builds Phi_k
-by dividing x^k - 1 by each lower Phi_d, and it reduces every residue.
+tuple and degree ``None``.  A product, a scalar being a one-term polynomial,
+clears each operand to integer numerators over one common denominator,
+convolves the integers and reduces each output coefficient once, instead of
+paying a gcd per ``Fraction`` term.  ``CyclotomicElement`` is a residue in
+Q[x]/Phi_k(x), the exact stand-in for expressions in a primitive k-th root of
+unity.  One long-division loop, ``Polynomial.__divmod__``, serves the whole
+cyclotomic layer: it builds Phi_k by dividing x^k - 1 by each lower Phi_d, and
+it reduces every residue.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ Scalar = Union[int, Fraction]
 
 def format_rational(q: Scalar) -> str:
     """Serialize an exact scalar as "a/b", or "a" when the denominator is 1."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 def parse_rational(s: str) -> Fraction:
@@ -187,16 +185,13 @@ class Polynomial:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial((), var=self.var)
-            return Polynomial((c * other for c in self.coeffs), var=self.var)
-        if not isinstance(other, Polynomial):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if self.is_zero or o.is_zero:
             return Polynomial((), var=self.var)
         a_nums, a_den = _integer_numerators(self.coeffs)
-        b_nums, b_den = _integer_numerators(other.coeffs)
+        b_nums, b_den = _integer_numerators(o.coeffs)
         out = [0] * (len(a_nums) + len(b_nums) - 1)
         for i, a in enumerate(a_nums):
             if a:
@@ -259,11 +254,10 @@ class Polynomial:
         return q
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == (() if other == 0 else (other,))
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)

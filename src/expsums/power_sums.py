@@ -1,4 +1,5 @@
-"""Power sums h(p, k) = 1^p + 2^p + ... + k^p, four ways.
+"""Power sums h(p, k) = 1^p + 2^p + ... + k^p, four ways, and the Bernoulli
+numbers Faulhaber's form reads.
 
 The evaluators are a literal summation oracle, an odd-exponent halving
 recurrence (h appears on both sides of a binomial reflection and survives
@@ -6,6 +7,18 @@ with factor 2 only when p is odd), the Bernoulli-number closed form, and
 symbolic closed-form polynomials in k.  All agree exactly; h(p, 0) = 0 and
 0^0 = 1 by convention.  The recurrence runs Horner's scheme in (k+1); the
 one memo, ``_closed_form``, holds a polynomial per exponent and Bernoulli source.
+
+``bernoulli_oracle`` reads even-index B_n off the tangent number T_(n/2),
+B_n = (-1)^(n/2-1) n T_(n/2) / (2^n (2^n - 1)), and grows the tangent
+numbers with Brent and Harvey's triangle ("Fast computation of Bernoulli,
+Tangent and Secant numbers", arXiv:1108.0286), whose entries are sums of
+small multiples of their neighbours, so no two large integers are multiplied;
+B_0 = 1, B_1 = -1/2 and the odd B_n, n >= 3, vanish.  T_m is read from the
+smallest table T_1..T_(2^e) that holds it; each table is built once, one
+column at a time, and kept by an lru_cache, so asking for every n <= N in
+any order costs O(N^2) triangle entries and no module state is mutated.
+``h_polynomial`` and ``h_faulhaber`` take their B_j from it; the paper's
+retrieval in ``bernoulli`` checks it a second way.
 """
 
 from __future__ import annotations
@@ -16,6 +29,43 @@ from typing import Callable
 
 from .errors import ConsistencyError, ParityError
 from .exact import Polynomial, binomial
+
+
+@lru_cache(maxsize=None)
+def _tangents(size: int) -> tuple[int, ...]:
+    """T_1..T_size, from the first size columns of the triangle.
+
+    Column j holds U(1, j), ..., U(j, j), where U(1, j) = (j-1)!,
+    U(k, j) = (j-k) U(k, j-1) + (j-k+2) U(k-1, j) and T_j = U(j, j).
+    """
+    col, out = [1], [1]
+    for j in range(1, size):  # column j becomes column j+1, top to bottom
+        col[0] *= j
+        for k in range(1, j):
+            col[k] = (j - k) * col[k] + (j - k + 2) * col[k - 1]
+        col.append(2 * col[-1])
+        out.append(col[-1])
+    return tuple(out)
+
+
+def _tangent(m: int) -> int:
+    """T_m (m >= 1), from the smallest power-of-two table that holds it."""
+    return _tangents(1 << (m - 1).bit_length())[m - 1]
+
+
+@lru_cache(maxsize=None)
+def bernoulli_oracle(n: int) -> Fraction:
+    """Exact B_n (convention B_1 = -1/2) from the tangent numbers."""
+    if n < 0:
+        raise ValueError(f"Bernoulli index must be >= 0, got {n}")
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    sign = 1 if n % 4 == 2 else -1  # (-1)^(n/2 - 1)
+    return Fraction(sign * n * _tangent(n // 2), (1 << n) * ((1 << n) - 1))
 
 
 def h_naive(p: int, k: int) -> int:
@@ -75,8 +125,6 @@ def h_polynomial(p: int) -> Polynomial:
     """
     if p < 1:
         raise ValueError(f"h_polynomial requires p >= 1, got {p}")
-    from .bernoulli import bernoulli_oracle
-
     return _closed_form(p, bernoulli_oracle)
 
 
@@ -93,8 +141,6 @@ def h_faulhaber(p: int, k: int) -> Fraction:
     on each call; asserted integral, never truncated."""
     if p < 1 or k < 0:
         raise ValueError(f"h_faulhaber requires p >= 1 and k >= 0, got p={p}, k={k}")
-    from .bernoulli import bernoulli_oracle
-
     return Fraction(_integral_value(faulhaber_polynomial(p, bernoulli_oracle), p, k))
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import expsums
-from expsums import CyclotomicElement, Polynomial
+from expsums import CyclotomicElement, Polynomial, bernoulli_oracle
 from expsums.compositions import enumerate_chains
 
 
@@ -238,6 +238,12 @@ def chains_without_the_empty_one(upper: int, lower: int, length=None):
     """The chain index tuples minus the first, the empty chain: a perturbed
     chain side for the coeffs gate (every a >= 1 sum loses C(p, p-a))."""
     return [c.indices for c in enumerate_chains(upper, lower, length)[1:]]
+
+
+def b2_off_by_a_third(n: int) -> Fraction:
+    """The oracle's B_n with B_2 raised by 1/3: a perturbed Bernoulli source
+    under which Faulhaber's form gives h(2, 1) = 4/3."""
+    return bernoulli_oracle(n) + Fraction(int(n == 2), 3)
 
 
 def cli_env() -> dict[str, str]:

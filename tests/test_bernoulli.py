@@ -84,7 +84,7 @@ def fresh_tangents():
     """Give the oracle no tangent tables and an empty value cache;
     returns a function that does it again."""
     def reset():
-        bernoulli._tangents.cache_clear()
+        power_sums._tangents.cache_clear()
         bernoulli_oracle.cache_clear()
 
     reset()
@@ -96,15 +96,15 @@ class TestTangentTable:
     def test_cold_oracle_grows_the_table_once(self, fresh_tangents):
         # B_500 needs T_250, read from the one table T_1..T_256.
         bernoulli_oracle(500)
-        assert bernoulli._tangents.cache_info().misses == 1
+        assert power_sums._tangents.cache_info().misses == 1
 
     def test_request_order_does_not_matter(self, fresh_tangents):
         # Either order builds at most the tables of sizes 1, 2, 4, ..., 256.
         descending = [bernoulli_oracle(n) for n in range(500, -1, -1)]
-        assert bernoulli._tangents.cache_info().currsize <= 9
+        assert power_sums._tangents.cache_info().currsize <= 9
         fresh_tangents()
         ascending = [bernoulli_oracle(n) for n in range(501)]
-        assert bernoulli._tangents.cache_info().currsize <= 9
+        assert power_sums._tangents.cache_info().currsize <= 9
         assert descending[::-1] == ascending
 
     def test_cold_oracle_is_thread_safe(self, fresh_tangents):
@@ -134,11 +134,11 @@ class TestTangentTable:
 
     def test_tangent_numbers(self, fresh_tangents):
         # OEIS A000182, then the odd zigzag numbers of Seidel's boustrophedon.
-        assert [bernoulli._tangent(m) for m in range(1, 9)] == [
+        assert [power_sums._tangent(m) for m in range(1, 9)] == [
             1, 2, 16, 272, 7936, 353792, 22368256, 1903757312,
         ]
         zigzag = seidel_zigzag(199)
-        assert [bernoulli._tangent(m) for m in range(1, 101)] == zigzag[1::2]
+        assert [power_sums._tangent(m) for m in range(1, 101)] == zigzag[1::2]
 
 
 class TestRetrieval:
@@ -211,7 +211,7 @@ class TestSharedClosedForms:
         # Fill the shared memo through h_polynomial from a deliberately wrong
         # oracle: a memo keyed by p alone would hand these polynomials to
         # retrieval, and its solved values or its coefficient check would break.
-        monkeypatch.setattr(bernoulli, "bernoulli_oracle",
+        monkeypatch.setattr(power_sums, "bernoulli_oracle",
                             lambda n: bernoulli_oracle(n) + (n == 2))
         for p in range(1, 14):
             h_polynomial(p)
@@ -219,7 +219,7 @@ class TestSharedClosedForms:
         def unavailable(n):
             raise AssertionError(f"retrieval called the oracle for B_{n}")
 
-        monkeypatch.setattr(bernoulli, "bernoulli_oracle", unavailable)
+        monkeypatch.setattr(power_sums, "bernoulli_oracle", unavailable)
         indices = [1] + list(range(2, 17, 2))
         values = {n: retrieve_bernoulli_detail(n).value for n in indices}
         monkeypatch.undo()

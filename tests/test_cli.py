@@ -11,6 +11,7 @@ from expsums.cli import _print_sweep, main
 from helpers import (
     CLI_CASES,
     PERTURBED_BINOMIALS,
+    b2_off_by_a_third,
     bitmask_compositions,
     chains_without_the_empty_one,
     cli_env,
@@ -308,6 +309,18 @@ class TestTolerance:
         assert out == ""
         assert "argument --tol: must be a positive finite number" in err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["default", "exact"])
+    def test_exact_prop1_refuses_a_tolerance(self, capsys, mode, json_flag):
+        # An exact residual is zero or not, so a --tol there would be ignored.
+        assert run(capsys, "verify", "prop1", "--pmax", "1", "--kmax", "2", *mode,
+                   "--tol", "5", *json_flag) == (
+            2, "", "error: --tol applies to --float, not to the exact sweep\n")
+
+    def test_float_prop1_takes_a_tolerance(self, capsys):
+        assert run(capsys, "verify", "prop1", "--pmax", "3", "--kmax", "8", "--float",
+                   "--tol", "1e-3") == (0, "PASS (54 cases)\n", "")
+
 
 class TestGatesCanFail:
     @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
@@ -338,6 +351,11 @@ class TestGatesCanFail:
         assert out == ""
         assert err == ("error: retrieval of B_2: polynomials disagree beyond the "
                        "solved coefficient\n")
+
+    def test_non_integer_power_sum_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(power_sums, "bernoulli_oracle", b2_off_by_a_third)
+        assert run(capsys, "powersum", "--p", "2", "--k", "1", "--method", "faulhaber") == (
+            1, "", "error: closed form gave non-integer h(2,1) = 4/3\n")
 
     def test_zero_right_hand_side_is_reported(self, capsys, monkeypatch):
         # Dropping the q = 0 term empties the r = 1 sum.
@@ -404,8 +422,19 @@ class TestRuntimeImports:
         (["powersum", "--p", "3", "--k", "4"],
          BASE | {"expsums.exact", "expsums.power_sums"}),
         (["bernoulli", "--n", "4", "--method", "oracle"],
+         BASE | {"expsums.exact", "expsums.power_sums"}),
+        (["bernoulli", "--table", "3"],
          BASE | {"expsums.bernoulli", "expsums.exact", "expsums.power_sums"}),
-    ], ids=["import", "compositions", "prop1", "eq3", "coeffs", "powersum", "bernoulli"])
+        (["bernoulli", "--n", "2", "--method", "retrieve"],
+         BASE | {"expsums.bernoulli", "expsums.exact", "expsums.power_sums"}),
+        (["powersum", "--p", "3", "--method", "poly"],
+         BASE | {"expsums.exact", "expsums.power_sums"}),
+        (["characters", "--k", "5"],
+         BASE | {"expsums.dirichlet", "expsums.exact", "expsums.power_sums"}),
+        (["verify", "alkan", "--k", "5", "--r", "2"],
+         BASE | {"expsums.dirichlet", "expsums.exact", "expsums.power_sums"}),
+    ], ids=["import", "compositions", "prop1", "eq3", "coeffs", "powersum", "bernoulli",
+            "bernoulli-table", "bernoulli-retrieve", "powersum-poly", "characters", "alkan"])
     def test_module_footprint(self, argv, expected):
         proc = subprocess.run([sys.executable, "-c", self.FOOTPRINT, *argv],
                               capture_output=True, env=cli_env())

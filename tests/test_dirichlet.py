@@ -1,10 +1,12 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from expsums import (
+    ConsistencyError,
     DivergenceError,
     alkan_check,
     alkan_sweep,
@@ -341,6 +343,23 @@ def _perturb(monkeypatch, perturbation):
         monkeypatch.setattr(dirichlet, "binomial", PERTURBED_BINOMIALS[perturbation])
 
 
+_factorize = dirichlet._factorize
+
+# Each fake breaks one self-check of unit_group_structure(k).
+UNIT_GROUP_MUTATIONS = [
+    ("_least_generator", lambda q, order: 1, 5, "generator 1 mod 5 does not have order 4"),
+    ("_crt_lift", lambda a, q, k: (q - 1) % k, 8, "components of (Z/8Z)* are not independent"),
+    ("_factorize", lambda n: _factorize(n)[:-1], 15, "component orders do not cover (Z/15Z)*"),
+]
+
+
+@pytest.fixture
+def cold_unit_groups():
+    unit_group_structure.cache_clear()
+    yield
+    unit_group_structure.cache_clear()
+
+
 def _checked(k, r, include_imprimitive=False):
     return [rep for rep in alkan_sweep(k, r, 1e-5, include_imprimitive=include_imprimitive)
             if rep.status != "SKIPPED"]
@@ -377,3 +396,21 @@ class TestGatesCanFail:
             assert abs(rep.ratio - 1) <= 1e-5
             assert (rep.status, rep.sign_observed) == ("FAIL", 1)
             assert rep.reason == "sign +1, expected -1"
+
+    @pytest.mark.parametrize("name, fake, k, message", UNIT_GROUP_MUTATIONS,
+                             ids=["order", "independence", "coverage"])
+    def test_perturbed_unit_group_fails_its_self_check(self, cold_unit_groups, monkeypatch,
+                                                       name, fake, k, message):
+        monkeypatch.setattr(dirichlet, name, fake)
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            unit_group_structure(k)
+
+    def test_wrong_discrete_log_of_minus_one_fails_the_parity_check(self, monkeypatch):
+        # Mod 5 the log of 4 = -1 is 2; a table sending it to 1 gives the
+        # character of exponent 1 the value i at -1.
+        st = unit_group_structure(5)
+        wrong = dirichlet.UnitGroupStructure(5, st.generators, st.orders, {**st.dlog, 4: (1,)})
+        monkeypatch.setattr(dirichlet, "unit_group_structure", lambda k: wrong)
+        with pytest.raises(ConsistencyError, match=re.escape(
+                "character value at -1 is not a square root of 1: phase 1/4")):
+            enumerate_characters(5)

@@ -2,6 +2,7 @@
 object its home module defines, and the namespace lists them all."""
 
 import ast
+import graphlib
 import importlib
 import pathlib
 import sys
@@ -58,6 +59,31 @@ def test_modules_import_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_package_imports_form_an_acyclic_graph():
+    # Every relative import counts: at module level, inside functions and
+    # under TYPE_CHECKING.  Only the CLI handlers, which load what their
+    # subcommand uses, and the brute-force Gessel oracle import in a body.
+    paths = sorted(pathlib.Path(expsums.__file__).parent.glob("*.py"))
+    graph: dict[str, set[str]] = {}
+    local = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        enclosing = {id(node): f"{path.stem}.{func.name}"
+                     for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                     for node in ast.walk(func)}
+        graph[path.stem] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                graph[path.stem].update([node.module] if node.module
+                                        else [alias.name for alias in node.names])
+                if id(node) in enclosing:
+                    local.add(enclosing[id(node)])
+    assert graph["bernoulli"] >= {"power_sums"}
+    list(graphlib.TopologicalSorter(graph).static_order())  # CycleError names a cycle
+    assert {site for site in local if not site.startswith("cli._cmd_")} == {
+        "compositions.gessel_coefficient_bruteforce"}
 
 
 def test_version():

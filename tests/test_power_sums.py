@@ -16,7 +16,7 @@ from expsums import (
     h_polynomial,
     h_recurrence,
 )
-from helpers import PERTURBED_BINOMIALS, schoolbook_product
+from helpers import PERTURBED_BINOMIALS, b2_off_by_a_third, schoolbook_product
 
 
 def _k(coeffs):
@@ -162,6 +162,12 @@ class TestGatesCanFail:
         monkeypatch.setattr(power_sums, "binomial", PERTURBED_BINOMIALS["flip-r1-sign"])
         with pytest.raises(ConsistencyError, match=r"^odd intermediate in h_recurrence\(7,2\)$"):
             h_recurrence(7, 2)
+
+    def test_wrong_bernoulli_number_gives_a_non_integer_power_sum(self, monkeypatch):
+        monkeypatch.setattr(power_sums, "bernoulli_oracle", b2_off_by_a_third)
+        with pytest.raises(ConsistencyError,
+                           match=r"^closed form gave non-integer h\(2,1\) = 4/3$"):
+            h_faulhaber(2, 1)
 
 
 class TestEq4Check:
