@@ -7,7 +7,11 @@ Characters are stored as explicit value tables (complex doubles, zero off the
 units); the unit group is decomposed into cyclic components so enumeration is
 deterministic.  Every root of unity is read from one table per order n,
 ``cmath.rect(1, 2 pi t/n)``: a character value at the integer phase
-t mod lcm(component orders), a Gauss-sum root at t = m*j mod k.  L(r, chi)
+t mod lcm(component orders), a Gauss-sum root at t = m*j mod k.  Each table
+is computed once per orbit: a character's phases are its exponent prefix's
+phases plus one column, one add per unit, and a character's Gauss sums
+G(j, chi), j = 1..k, are one direct sum G(d, chi) per divisor d of k, every
+j = u*d with u a unit read off as conj chi(u) G(d, chi).  L(r, chi)
 is summed by Euler-Maclaurin per residue class mod k, with weights from
 ``bernoulli_oracle``.  Exactness lives elsewhere in the package; this module
 is double precision by design, with rigorous remainder bounds where series
@@ -159,6 +163,26 @@ def _roots(n: int) -> tuple[complex, ...]:
     return tuple(cmath.rect(1.0, 2.0 * math.pi * (t / n)) for t in range(n))
 
 
+def _phase_tables(columns: list[tuple[int, list[int]]], order_lcm: int, size: int):
+    """Every exponent tuple t with its phase table, t in lexicographic order.
+
+    ``columns`` holds one (order o_i, column c_i) per component.  The table of
+    t is sum_i t_i c_i mod L, entry by entry, so raising t_i by one adds c_i
+    to the table of its prefix: one integer add per unit.
+    """
+    def walk(exps: tuple[int, ...], table: list[int]):
+        if len(exps) == len(columns):
+            yield exps, table
+            return
+        order, column = columns[len(exps)]
+        for t in range(order):
+            if t:
+                table = [(n + c) % order_lcm for n, c in zip(table, column)]
+            yield from walk(exps + (t,), table)
+
+    return walk((), [0] * size)
+
+
 def enumerate_characters(k: int) -> list[DirichletCharacter]:
     """All characters mod k, ordered by generator exponent tuple (principal
     first); the count equals the number of units.
@@ -170,22 +194,21 @@ def enumerate_characters(k: int) -> list[DirichletCharacter]:
     st = unit_group_structure(k)
     order_lcm = math.lcm(*st.orders)
     roots = _roots(order_lcm)
-    scales = [order_lcm // o for o in st.orders]
-    kernels = [(d, [u for u in st.dlog if u % d == 1 % d])
+    units = list(st.dlog)
+    columns = [(o, [order_lcm // o * logs[i] for logs in st.dlog.values()])
+               for i, o in enumerate(st.orders)]
+    kernels = [(d, [i for i, u in enumerate(units) if u % d == 1 % d])
                for d in range(1, k + 1) if k % d == 0]
-    minus_one = (k - 1) % k
+    minus_one = units.index((k - 1) % k)
     chars = []
-    for index, exps in enumerate(itertools.product(*(range(o) for o in st.orders))):
-        weights = [t * s for t, s in zip(exps, scales)]
-        phase = {u: sum(w * v for w, v in zip(weights, logs)) % order_lcm
-                 for u, logs in st.dlog.items()}
+    for index, (exps, phase) in enumerate(_phase_tables(columns, order_lcm, len(units))):
         parity_phase = phase[minus_one]
         if 2 * parity_phase % order_lcm:
             raise ConsistencyError(f"character value at -1 is not a square root of 1: "
                                    f"phase {parity_phase}/{order_lcm}")
-        conductor = next(d for d, kernel in kernels if not any(phase[u] for u in kernel))
+        conductor = next(d for d, kernel in kernels if not any(phase[i] for i in kernel))
         values = [0j] * k
-        for u, n in phase.items():
+        for u, n in zip(units, phase):
             values[u] = roots[n]
         chars.append(
             DirichletCharacter(
@@ -213,8 +236,19 @@ def gauss_sum(j: int, chi: DirichletCharacter) -> complex:
 @lru_cache(maxsize=1)
 def _gauss_sums(chi: DirichletCharacter) -> tuple[complex, ...]:
     # G(j, chi) for j = 1..k, kept for the last character asked about so that
-    # its moments share one table.
-    return tuple(gauss_sum(j, chi) for j in range(1, chi.modulus + 1))
+    # its moments share one table.  Reindexing m -> m u^-1 gives
+    # G(u d, chi) = conj chi(u) G(d, chi) for every unit u, and every j is
+    # u d mod k for d = gcd(j, k): one direct sum per divisor d of k, and j
+    # takes the least unit u that reaches it.
+    k = chi.modulus
+    units = [(u, v.conjugate()) for u, v in enumerate(chi.values) if v != 0]
+    table: dict[int, complex] = {}
+    for d in range(1, k + 1):
+        if k % d == 0:
+            g = gauss_sum(d, chi)
+            for u, w in units:
+                table.setdefault(u * d % k or k, w * g)
+    return tuple(table[j] for j in range(1, k + 1))
 
 
 def s_sum(m: int, chi: DirichletCharacter) -> complex:
@@ -386,10 +420,13 @@ def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
             c = binomial(r, q) * float(b)
             rhs += c * s_sum(r - q, chi)
             rhs_weight += abs(c)
-    # With |G(j)| <= units and (j/k)^m <= 1: each G(j) is off by at most
-    # units (units + 2 _ROOT_ERR + 3) _U, S(m) by k units (units + k + m +
-    # 2 _ROOT_ERR + 5) _U, and the weighted sum adds 5 _U per term.
-    rhs_error = rhs_weight * k * units * (units + k + r + 2 * _ROOT_ERR + 10) * _U
+    # With |G(j)| <= units and (j/k)^m <= 1, and a complex product rounded
+    # within sqrt(5) _U: a direct G(d) is off by at most units (units +
+    # 2 _ROOT_ERR + sqrt(5)) _U and its product with conj chi(u) adds units
+    # (_ROOT_ERR + sqrt(5)) _U, so each G(j) is off by at most units (units +
+    # 3 _ROOT_ERR + 5) _U, S(m) by k units (units + k + m + 3 _ROOT_ERR + 7)
+    # _U, and the weighted sum adds 5 _U per term.
+    rhs_error = rhs_weight * k * units * (units + k + r + 3 * _ROOT_ERR + 12) * _U
     lv = l_value(r, chi, target_tol=_U)
     prefactor = k * math.factorial(r) / (2 ** (r - 1) * math.pi**r)
     lhs_magnitude = prefactor * abs(lv.value)

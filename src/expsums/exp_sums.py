@@ -33,9 +33,12 @@ The chain sums multiply entries of one Pascal table, built from ``binomial``
 per call, along each chain of ``compositions._chain_tuples``.
 
 The floating sums share one kernel, ``_power_sums_complex``: the sums for
-every exponent 0..P at one frequency, in one pass over s.  The floating prop1
-residual reads f from the table at -m and g from the one at +m; f is summed
-in its own right, not conjugated from g.
+every exponent 0..P at one frequency class mod k, in one pass over s, from
+the class's representative of smallest angle.  The floating prop1 residual
+reads f from the table at -m and g from the one at +m; f is summed in its
+own right, not conjugated from g.  The sweep computes each table once per
+class (k, e mod k): m = 1 and k - 1 share two tables, and for even k the
+frequencies +-k/2 share one.
 """
 
 from __future__ import annotations
@@ -73,7 +76,13 @@ class ExpSumQuery:
 
 
 def _power_sums_complex(P: int, k: int, e: int) -> list[complex]:
-    """sum_{s=1}^{k-1} s^j exp(2 pi i e s / k) for j = 0..P, in one pass over s."""
+    """sum_{s=1}^{k-1} s^j exp(2 pi i e s / k) for j = 0..P, in one pass over s.
+
+    The sums depend on e only mod k; e is taken as its representative in
+    [-k//2, k - k//2), so every frequency of one class gives the same numbers,
+    from the smallest angle.
+    """
+    e = (e + k // 2) % k - k // 2
     w = cmath.exp(2j * cmath.pi * e / k)
     sums = [0j] * (P + 1)
     ws = 1 + 0j
@@ -314,22 +323,25 @@ def run_prop1_exact(pmax: int, kmax: int) -> SweepResult:
 def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
     """Floating sweep over m in {1, k-1, floor(k/2)}.
 
-    The f and g sums for exponents 0..pmax are built once per (k, m) and
-    shared by every p.
+    The sums for exponents 0..pmax are built once per frequency class
+    (k, e mod k) and shared by every p and by both signs that name the class.
     """
     _require_pk(pmax, kmax)
     cases = 0
     failures = []
-    tables: dict[tuple[int, int], tuple[list[complex], list[complex]]] = {}
+    tables: dict[tuple[int, int], list[complex]] = {}
+
+    def table(k: int, e: int) -> list[complex]:
+        sums = tables.get((k, e % k))
+        if sums is None:
+            sums = tables[k, e % k] = _power_sums_complex(pmax, k, e)
+        return sums
+
     for p in range(1, pmax + 1):
         for k in range(2, kmax + 1):
             for m in sorted({1, k // 2, k - 1}):
                 cases += 1
-                fg = tables.get((k, m))
-                if fg is None:
-                    fg = tables[k, m] = (_power_sums_complex(pmax, k, -m),
-                                         _power_sums_complex(pmax, k, m))
-                res = _prop1_residual_float(p, k, *fg)
+                res = _prop1_residual_float(p, k, table(k, -m), table(k, m))
                 if not float_tolerance_ok(res, p, k, tol):
                     failures.append(_failure(f"p={p} k={k} m={m}",
                                              f"abs={res.absolute:.3e} rel={res.relative:.3e}"))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -144,6 +145,25 @@ class TestCharacters:
                                 in zip(chi.exponents, logs, st.orders)) % 1
                     assert chi.values[u] == cmath.rect(1.0, 2.0 * math.pi * float(theta))
 
+    def test_phase_tables_match_direct_phases(self):
+        # Each unit's phase summed from its discrete logs, not from the
+        # prefix tables; parity and conductor read off the same phases.
+        for k in range(1, 301):
+            st = unit_group_structure(k)
+            order_lcm = math.lcm(*st.orders)
+            roots = dirichlet._roots(order_lcm)
+            scaled = [(u, [order_lcm // o * v for o, v in zip(st.orders, logs)])
+                      for u, logs in st.dlog.items()]
+            divisors = [d for d in range(1, k + 1) if k % d == 0]
+            for chi in enumerate_characters(k):
+                phase = {u: sum(map(operator.mul, chi.exponents, logs)) % order_lcm
+                         for u, logs in scaled}
+                assert all(chi.values[u] == roots[n] for u, n in phase.items()), (k, chi.index)
+                assert chi.parity == ("odd" if phase[(k - 1) % k] else "even"), (k, chi.index)
+                conductor = next(d for d in divisors
+                                 if all(n == 0 for u, n in phase.items() if u % d == 1 % d))
+                assert chi.conductor == conductor, (k, chi.index)
+
     def test_known_conductors_mod_12(self):
         chars = enumerate_characters(12)
         conductors = sorted(c.conductor for c in chars)
@@ -168,6 +188,18 @@ class TestGaussSum:
             for chi in enumerate_characters(k):
                 if chi.primitive and not chi.principal:
                     assert abs(abs(gauss_sum(1, chi)) - math.sqrt(k)) < 1e-9, k
+
+    def test_orbit_table_matches_direct_sums(self):
+        # Each entry is a direct G(d) times conj chi(u), so it and the direct
+        # G(j) are each off by at most units (units + 3 _ROOT_ERR + 5) u.
+        for k in range(1, 61):
+            for chi in enumerate_characters(k):
+                units = sum(1 for v in chi.values if v != 0)
+                bound = 2 * units * (units + 3 * dirichlet._ROOT_ERR + 5) * 2.0**-53
+                table = dirichlet._gauss_sums(chi)
+                assert len(table) == k
+                for j, g in enumerate(table, 1):
+                    assert abs(g - gauss_sum(j, chi)) <= bound, (k, chi.index, j)
 
 
 class TestSSum:
@@ -309,6 +341,7 @@ class TestAlkanCheck:
             assert "below the certifiable error" in rep.reason
 
     def test_gauss_sums_computed_once_per_character(self, monkeypatch):
+        # One table per character, and in it one direct sum per divisor of k.
         calls = []
 
         def counted(j, chi):
@@ -316,10 +349,12 @@ class TestAlkanCheck:
             return gauss_sum(j, chi)
 
         monkeypatch.setattr(dirichlet, "gauss_sum", counted)
-        dirichlet._gauss_sums.cache_clear()
-        chi = [c for c in enumerate_characters(13) if c.parity == "even" and c.primitive][0]
-        assert alkan_check(4, chi, 1e-5).status == "PASS"
-        assert sorted(calls) == list(range(1, 14))
+        for k, r, divisors in [(13, 4, [1, 13]), (12, 2, [1, 2, 3, 4, 6, 12])]:
+            calls.clear()
+            dirichlet._gauss_sums.cache_clear()
+            chi = [c for c in enumerate_characters(k) if c.parity == "even" and c.primitive][0]
+            assert alkan_check(r, chi, 1e-5).status == "PASS"
+            assert sorted(calls) == divisors, k
 
 
 def _halved_b0(n):
@@ -365,6 +400,17 @@ def _checked(k, r, include_imprimitive=False):
             if rep.status != "SKIPPED"]
 
 
+def _unconjugated_gauss_sums(chi):
+    k = chi.modulus
+    table = {}
+    for d in [d for d in range(1, k + 1) if k % d == 0]:
+        g = gauss_sum(d, chi)
+        for u, v in enumerate(chi.values):
+            if v != 0:
+                table.setdefault(u * d % k or k, v * g)
+    return tuple(table[j] for j in range(1, k + 1))
+
+
 class TestGatesCanFail:
     @pytest.mark.parametrize("perturbation, k, r", ALKAN_MUTATIONS)
     def test_perturbed_identity_fails(self, monkeypatch, perturbation, k, r):
@@ -396,6 +442,14 @@ class TestGatesCanFail:
             assert abs(rep.ratio - 1) <= 1e-5
             assert (rep.status, rep.sign_observed) == ("FAIL", 1)
             assert rep.reason == "sign +1, expected -1"
+
+    @pytest.mark.parametrize("k, r", [(7, 3), (13, 2), (13, 4), (11, 1), (15, 3)])
+    def test_unconjugated_gauss_table_fails(self, monkeypatch, k, r):
+        # The orbit table read off with chi(u) in place of conj chi(u); a
+        # modulus with only real characters could not tell the two apart.
+        monkeypatch.setattr(dirichlet, "_gauss_sums", _unconjugated_gauss_sums)
+        checked = _checked(k, r, include_imprimitive=True)
+        assert any(rep.status == "FAIL" for rep in checked)
 
     @pytest.mark.parametrize("name, fake, k, message", UNIT_GROUP_MUTATIONS,
                              ids=["order", "independence", "coverage"])

@@ -240,6 +240,42 @@ class TestSweeps:
                     assert exp_sums._prop1_residual_float(p, k, f, g) == \
                         prop1_residual_complex(p, k, m), (p, k, m)
 
+    def test_float_kernel_depends_on_the_class_only(self):
+        for k in range(2, 21):
+            for e in range(-k, 2 * k):
+                sums = exp_sums._power_sums_complex(6, k, e)
+                assert exp_sums._power_sums_complex(6, k, e + k) == sums, (k, e)
+                assert exp_sums._power_sums_complex(6, k, e - k) == sums, (k, e)
+
+    def test_prop1_float_sweep_equals_public_residual(self, monkeypatch):
+        # Every residual is recorded at the gate and made a failure, so that
+        # its case label comes back beside it.
+        residuals = []
+
+        def record(res, p, k, rel_tol=1e-8):
+            residuals.append(res)
+            return False
+
+        monkeypatch.setattr(exp_sums, "float_tolerance_ok", record)
+        sweep = run_prop1_float(6, 40)
+        assert len(sweep.failures) == len(residuals) == sweep.cases
+        for failure, res in zip(sweep.failures, residuals):
+            p, k, m = (int(part.split("=")[1]) for part in failure["case"].split())
+            assert res == prop1_residual_complex(p, k, m), failure["case"]
+
+    def test_prop1_float_kernel_runs_once_per_class(self, monkeypatch):
+        # m = 1 and k - 1 share two classes, +-k/2 one for even k.
+        classes = []
+        kernel = exp_sums._power_sums_complex
+
+        def counted(P, k, e):
+            classes.append((k, e % k))
+            return kernel(P, k, e)
+
+        monkeypatch.setattr(exp_sums, "_power_sums_complex", counted)
+        assert run_prop1_float(12, 128).ok
+        assert len(classes) == len(set(classes)) == 440
+
 
 def _prop1_grid(pmax, kmax):
     for p in range(1, pmax + 1):
