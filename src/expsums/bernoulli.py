@@ -17,19 +17,17 @@ so it never reads a polynomial built from ``bernoulli_oracle``.
 from __future__ import annotations
 
 import types
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, _Record
 from .exact import Polynomial, poly_coefficient, polynomial_from_points
 from .power_sums import (_closed_form, bernoulli_oracle, faulhaber_polynomial, h_naive,
                          odd_recurrence_polynomial)
 
 
-@dataclass(frozen=True)
-class RetrievalDetail:
+class RetrievalDetail(_Record):
     """One retrieval step: the solved value and the two matched polynomials."""
 
     n: int
@@ -91,8 +89,7 @@ def retrieve_bernoulli(n: int) -> Fraction:
     return retrieve_bernoulli_detail(n).value
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
+class BernoulliTable(_Record):
     """Immutable index -> B_n map under the B_1 = -1/2 convention."""
 
     values: Mapping[int, Fraction]

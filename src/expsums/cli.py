@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from typing import TYPE_CHECKING
 
-# Each handler imports the modules its subcommand uses, so that a run loads
-# (and, without cached bytecode, compiles) only those.
+# Each handler imports the package modules its subcommand uses, and ``json``
+# is imported only where JSON is written, so that a run loads (and, without
+# cached bytecode, compiles) only what it runs.
 from .errors import ConsistencyError, SizeLimitError
 
 if TYPE_CHECKING:
@@ -61,6 +61,8 @@ def _verdict(n_fail: int, total: int, noun: str, note: str = "") -> tuple[str, i
 
 
 def _print_json(obj) -> None:
+    import json
+
     print(json.dumps(obj, sort_keys=True))
 
 
@@ -149,6 +151,7 @@ def _cmd_compositions(args) -> int:
     # to str() of its int list and to its json.dumps; sort_keys puts
     # "compositions" first, so the JSON object is written around the stream,
     # and its count is the closed form 2^(n-1), or C(n-1, m-1) with m parts.
+    # The other fields are integers or null, written without ``json``.
     _cap(args.n, COMPOSITION_LIMIT, "--n")
     between, end = (", ", "]") if args.json else ("", "]\n")
     groups = _blocks(args.n, args.length, "[", str, ", ", end)  # raises before any output
@@ -163,7 +166,8 @@ def _cmd_compositions(args) -> int:
     if args.json:
         count = (2 ** (args.n - 1) if args.length is None
                  else math.comb(args.n - 1, args.length - 1))
-        out.write(f'], "count": {count}, "length": {json.dumps(args.length)}, "n": {args.n}}}\n')
+        length = "null" if args.length is None else args.length
+        out.write(f'], "count": {count}, "length": {length}, "n": {args.n}}}\n')
     return 0
 
 
@@ -177,8 +181,14 @@ def _cmd_characters(args) -> int:
     # negative zero part, the one case where equal floats print differently.
     fmt = functools.lru_cache(maxsize=None)(_fmt_complex)
     if args.json:
-        _print_json([
-            {
+        import json
+
+        # One character at a time, joined as json.dumps joins a list, so the
+        # bytes equal one json.dumps of the whole list without building it.
+        out = sys.stdout
+        out.write("[")
+        for i, c in enumerate(chars):
+            out.write((", " if i else "") + json.dumps({
                 "conductor": c.conductor,
                 "index": c.index,
                 "modulus": c.modulus,
@@ -186,9 +196,8 @@ def _cmd_characters(args) -> int:
                 "primitive": c.primitive,
                 "principal": c.principal,
                 "values": [fmt(v) for v in c.values],
-            }
-            for c in chars
-        ])
+            }, sort_keys=True))
+        out.write("]\n")
     else:
         print(f"{len(chars)} characters mod {args.k}")
         for c in chars:

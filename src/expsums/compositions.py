@@ -12,19 +12,20 @@ per call for every remainder of at most ``CACHE_DEPTH`` units; it renders
 rows as part tuples or, for the CLI, as text.  The chains come from a
 generator of index tuples.  The public ``enumerate_*`` functions build their
 lists of validated objects from these; the brute-force coefficient and the
-chain sums read the tuples directly.
+chain sums read the tuples directly.  Only the coefficient functions use
+``fractions``, and they import it, so enumeration does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, _Record
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .exact import Scalar
 
 COMPOSITION_LIMIT = 24
@@ -34,14 +35,13 @@ CACHE_DEPTH = 10
 GESSEL_BRUTEFORCE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Record):
     """Ordered tuple of positive parts summing to ``total``."""
 
     parts: tuple[int, ...]
     total: int
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         if not self.parts:
             raise ValueError("a composition has at least one part")
         if any(p < 1 for p in self.parts):
@@ -58,8 +58,7 @@ class Composition:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
-class DecreasingChain:
+class DecreasingChain(_Record):
     """Strictly decreasing indices drawn from the open interval (lower, upper).
 
     The empty chain is valid; it corresponds to the one-part composition of
@@ -70,7 +69,7 @@ class DecreasingChain:
     upper: int
     lower: int
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         if self.lower < 0 or self.upper <= self.lower:
             raise ValueError(f"need 0 <= lower < upper, got lower={self.lower} upper={self.upper}")
         if any(not (self.lower < i < self.upper) for i in self.indices):
@@ -210,6 +209,8 @@ def composition_to_chain(comp: Composition, upper: int, lower: int) -> Decreasin
 
 
 def _padded(u: Sequence[Scalar], n: int) -> list[Fraction]:
+    from fractions import Fraction
+
     us = [Fraction(x) for x in u]
     if len(us) < n:
         raise ValueError(f"need weights u_1..u_{n}, got {len(us)}")
@@ -222,6 +223,8 @@ def gessel_coefficient_series(u: Sequence[Scalar], n: int) -> Fraction:
     Computed by truncated power-series inversion: c_0 = 1 and
     c_t = sum_{i=1}^{t} u_i c_{t-i}.
     """
+    from fractions import Fraction
+
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     if n == 0:
@@ -241,6 +244,8 @@ def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
     products are summed per part count m, and the buckets are combined over
     D^n once at the end.
     """
+    from fractions import Fraction
+
     if n < 0:
         raise ValueError(f"coefficient index must be >= 0, got {n}")
     if n == 0:

@@ -24,11 +24,10 @@ import cmath
 import itertools
 import math
 import types
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .errors import ConsistencyError, DivergenceError
+from .errors import ConsistencyError, DivergenceError, _Record
 from .exact import binomial
 from .power_sums import bernoulli_oracle
 
@@ -75,8 +74,7 @@ def _crt_lift(a: int, q: int, k: int) -> int:
     return (a + q * t) % k
 
 
-@dataclass(frozen=True)
-class UnitGroupStructure:
+class UnitGroupStructure(_Record):
     """(Z/kZ)* as independent cyclic components.
 
     ``generators[i]`` has multiplicative order ``orders[i]``, the component
@@ -134,8 +132,7 @@ def unit_group_structure(k: int) -> UnitGroupStructure:
     return UnitGroupStructure(k, generators, orders, types.MappingProxyType(dlog))
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(_Record):
     """Value table of one character mod k: completely multiplicative on the
     units, zero elsewhere, determined by the root of unity assigned to each
     group generator (``exponents``)."""
@@ -262,8 +259,7 @@ def s_sum(m: int, chi: DirichletCharacter) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class LSeriesValue:
+class LSeriesValue(_Record):
     """L(r, chi) with a rigorous bound on the Euler-Maclaurin remainder and a
     first-order bound on the rounding error; every n <= truncation_N was
     summed directly."""
@@ -360,8 +356,7 @@ def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
     return LSeriesValue(r, value, N * k, tail_bound, rounding_bound)
 
 
-@dataclass(frozen=True)
-class AlkanReport:
+class AlkanReport(_Record):
     """Check of k r! / (2^(r-1) pi^r) L(r, chi) = (-1)^(r+1) i^r sum_q C(r, q)
     B_q S(r-q, chi): the magnitude ``ratio``, ``sign_observed`` and
     ``error_bound``, the relative error E the check can certify."""

@@ -44,16 +44,14 @@ frequencies +-k/2 share one.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .compositions import _chain_tuples
-from .errors import PreconditionError
+from .errors import PreconditionError, _Record
 from .exact import CyclotomicElement, Polynomial, binomial
 
 
-@dataclass(frozen=True)
-class ExpSumQuery:
+class ExpSumQuery(_Record):
     """One sum: exponent p, modulus k >= 2, frequency m (reduced mod k), sign.
 
     sign +1 is the positive-frequency sum g, sign -1 the negative-frequency
@@ -65,7 +63,7 @@ class ExpSumQuery:
     m: int
     sign: int
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         if self.p < 0:
             raise ValueError(f"exponent p must be >= 0, got {self.p}")
         if self.k < 2:
@@ -193,13 +191,24 @@ class FloatResidual(NamedTuple):
     relative: float
 
 
-def _prop1_residual_float(p: int, k: int, f: Sequence[complex],
-                          g: Sequence[complex]) -> FloatResidual:
-    # f and g hold the sums at frequencies -m and +m for exponents 0..P, P >= p.
+def _signed_binomials(p: int) -> list[int]:
+    """(-1)^(p-a) C(p, a) for a = 0..p-1, from the module's ``binomial``."""
+    return [(-1) ** (p - a) * binomial(p, a) for a in range(p)]
+
+
+def _float_powers(k: int, P: int) -> list[float]:
+    """float(k)^a for a = 0..P."""
+    return [float(k) ** a for a in range(P + 1)]
+
+
+def _prop1_residual_float(p: int, signed: Sequence[int], powers: Sequence[float],
+                          f: Sequence[complex], g: Sequence[complex]) -> FloatResidual:
+    # signed is _signed_binomials(p), powers float(k)^a for a = 0..P, and f
+    # and g the sums at frequencies -m and +m for exponents 0..P, P >= p.
     lhs = f[p]
-    rhs = complex(-(float(k) ** p))
+    rhs = complex(-powers[p])
     for a in range(p):
-        rhs += (-1) ** (p - a) * binomial(p, a) * float(k) ** a * g[p - a]
+        rhs += signed[a] * powers[a] * g[p - a]
     absolute = abs(lhs - rhs)
     return FloatResidual(absolute, absolute / max(abs(lhs), 1.0))
 
@@ -207,7 +216,8 @@ def _prop1_residual_float(p: int, k: int, f: Sequence[complex],
 def prop1_residual_complex(p: int, k: int, m: int) -> FloatResidual:
     """Floating cross-check of the same identity in complex doubles."""
     mm = _require_nondivisible(p, k, m)
-    return _prop1_residual_float(p, k, _power_sums_complex(p, k, -mm),
+    return _prop1_residual_float(p, _signed_binomials(p), _float_powers(k, p),
+                                 _power_sums_complex(p, k, -mm),
                                  _power_sums_complex(p, k, mm))
 
 
@@ -272,8 +282,7 @@ def _chain_sum(p: int, a: int) -> tuple[int, int]:
     return total, count
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     """Outcome of one verification sweep: case count and failing records.
 
     The ``run_*`` sweeps raise ValueError on an empty range, which would
@@ -324,12 +333,14 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
     """Floating sweep over m in {1, k-1, floor(k/2)}.
 
     The sums for exponents 0..pmax are built once per frequency class
-    (k, e mod k) and shared by every p and by both signs that name the class.
+    (k, e mod k) and shared by every p and by both signs that name the class;
+    the signed binomials once per p, the powers of k once per k.
     """
     _require_pk(pmax, kmax)
     cases = 0
     failures = []
     tables: dict[tuple[int, int], list[complex]] = {}
+    powers = {k: _float_powers(k, pmax) for k in range(2, kmax + 1)}
 
     def table(k: int, e: int) -> list[complex]:
         sums = tables.get((k, e % k))
@@ -338,10 +349,11 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
         return sums
 
     for p in range(1, pmax + 1):
+        signed = _signed_binomials(p)
         for k in range(2, kmax + 1):
             for m in sorted({1, k // 2, k - 1}):
                 cases += 1
-                res = _prop1_residual_float(p, k, table(k, -m), table(k, m))
+                res = _prop1_residual_float(p, signed, powers[k], table(k, -m), table(k, m))
                 if not float_tolerance_ok(res, p, k, tol):
                     failures.append(_failure(f"p={p} k={k} m={m}",
                                              f"abs={res.absolute:.3e} rel={res.relative:.3e}"))

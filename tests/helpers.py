@@ -190,6 +190,19 @@ def prop1_residual_termwise(p: int, k: int, m: int, binom=math.comb) -> Cyclotom
     return cyclo_sum(p, -mm) - rhs
 
 
+def prop1_float_residual_per_term(p: int, k: int, f, g) -> tuple[float, float]:
+    """The floating prop1 residual as the package first summed it: one
+    ``math.comb`` call and one ``float(k) ** a`` per term, in the order
+    sign * C(p, a) * k^a * g(p-a).  f and g hold the sums at -m and +m for
+    exponents 0..P, P >= p; returns (absolute, relative)."""
+    lhs = f[p]
+    rhs = complex(-(float(k) ** p))
+    for a in range(p):
+        rhs += (-1) ** (p - a) * math.comb(p, a) * float(k) ** a * g[p - a]
+    absolute = abs(lhs - rhs)
+    return absolute, absolute / max(abs(lhs), 1.0)
+
+
 def eq3_residual_termwise(p: int, k: int, binom=math.comb) -> Polynomial:
     """The reflection residual f(p) - (-1)^p g(p) - sum_a (-1)^(p+a+1)
     C(p, a) k^(p-a) f(a) mod x^k - 1, one s^j vector per term, for every

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -193,6 +194,20 @@ class TestCharacters:
         assert all(set(rec) == keys for rec in payload)
         assert payload[0]["principal"] is True
         assert payload[0]["values"][1] == "1+0i"
+
+    def test_json_stream_is_pinned(self, capsys):
+        # Written one character at a time, the stream keeps the bytes of one
+        # json.dumps of the whole list; mod 120 the unit group has four
+        # cyclic components.
+        status, out, _ = run(capsys, "characters", "--k", "120", "--json")
+        assert status == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "36286874dba12a9066e07432ff1c72fac73b3006fcb00308e0ff6bcb42643e9b")
+
+    def test_json_of_no_characters_is_an_empty_list(self, capsys, monkeypatch):
+        monkeypatch.setattr(dirichlet, "enumerate_characters", lambda k: [])
+        assert run(capsys, "characters", "--k", "5", "--json") == (0, "[]\n", "")
 
     def test_text_mode(self, capsys):
         status, out, _ = run(capsys, "characters", "--k", "4")
@@ -399,9 +414,12 @@ class TestRuntimeImports:
         assert not [name for name in imported if name.split(b".")[0] == b"numpy"]
 
     # The package modules each run loads: a subcommand imports only what it
-    # uses, and ``import expsums`` alone imports no submodule.
+    # uses, and ``import expsums`` alone imports no submodule.  The second
+    # line names the costly standard-library modules the run loaded that the
+    # interpreter had not loaded before it.
     FOOTPRINT = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import expsums\n"
         "if sys.argv[1:]:\n"
         "    from expsums.cli import main\n"
@@ -409,6 +427,8 @@ class TestRuntimeImports:
         "    assert status == 0, status\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'expsums'),"
         " file=sys.stderr)\n"
+        "print('stdlib:', *sorted((set(sys.modules) - before) & {'dataclasses', 'fractions',"
+        " 'inspect', 'json'}), file=sys.stderr)\n"
     )
     BASE = {"expsums", "expsums.cli", "expsums.errors"}
     SWEEPS = BASE | {"expsums.compositions", "expsums.exact", "expsums.exp_sums"}
@@ -436,10 +456,31 @@ class TestRuntimeImports:
     ], ids=["import", "compositions", "prop1", "eq3", "coeffs", "powersum", "bernoulli",
             "bernoulli-table", "bernoulli-retrieve", "powersum-poly", "characters", "alkan"])
     def test_module_footprint(self, argv, expected):
+        package, stdlib = self.footprint(argv)
+        assert package == expected
+        # No record needs dataclasses (and its inspect), no run without
+        # --json needs json, and enumeration builds no Fraction.
+        assert not stdlib & {"dataclasses", "inspect", "json"}
+        if argv[:1] == ["compositions"]:
+            assert "fractions" not in stdlib
+
+    def footprint(self, argv: list[str]) -> tuple[set[str], set[str]]:
         proc = subprocess.run([sys.executable, "-c", self.FOOTPRINT, *argv],
                               capture_output=True, env=cli_env())
         assert proc.returncode == 0, proc.stderr
-        assert set(proc.stderr.decode().split()) == expected
+        package, stdlib = proc.stderr.decode().splitlines()
+        return set(package.split()), set(stdlib.split()[1:])
+
+    def test_compositions_json_loads_neither_json_nor_fractions(self):
+        package, stdlib = self.footprint(["compositions", "--n", "3", "--length", "2", "--json"])
+        assert package == self.BASE | {"expsums.compositions"}
+        assert not stdlib & {"dataclasses", "fractions", "inspect", "json"}
+
+    def test_json_output_loads_json(self):
+        # The watch list is live: a run that writes JSON shows json in it.
+        package, stdlib = self.footprint(["verify", "coeffs", "--pmax", "3", "--json"])
+        assert package == self.SWEEPS
+        assert "json" in stdlib and not stdlib & {"dataclasses", "inspect"}
 
 
 class TestPrintSweep:

@@ -26,6 +26,7 @@ from helpers import (
     chain_sum_reference,
     chains_without_the_empty_one,
     eq3_residual_termwise,
+    prop1_float_residual_per_term,
     prop1_residual_termwise,
 )
 
@@ -237,8 +238,22 @@ class TestSweeps:
                 f = exp_sums._power_sums_complex(9, k, -m)
                 g = exp_sums._power_sums_complex(9, k, m)
                 for p in range(1, 10):
-                    assert exp_sums._prop1_residual_float(p, k, f, g) == \
-                        prop1_residual_complex(p, k, m), (p, k, m)
+                    assert exp_sums._prop1_residual_float(
+                        p, exp_sums._signed_binomials(p), exp_sums._float_powers(k, 9),
+                        f, g) == prop1_residual_complex(p, k, m), (p, k, m)
+
+    def test_prop1_float_rows_match_the_per_term_loop_bit_for_bit(self):
+        # The signed binomial row and the row of powers of k keep the order
+        # sign * C * k^a * g of one binomial call and one power per term.
+        for k in range(2, 129):
+            powers = exp_sums._float_powers(k, 12)
+            for m in sorted({1, k // 2, k - 1}):
+                f = exp_sums._power_sums_complex(12, k, -m)
+                g = exp_sums._power_sums_complex(12, k, m)
+                for p in range(1, 13):
+                    got = exp_sums._prop1_residual_float(
+                        p, exp_sums._signed_binomials(p), powers, f, g)
+                    assert tuple(got) == prop1_float_residual_per_term(p, k, f, g), (p, k, m)
 
     def test_float_kernel_depends_on_the_class_only(self):
         for k in range(2, 21):
