@@ -11,9 +11,10 @@ yields blocks of rows sharing a prefix, their continuations enumerated once
 per call for every remainder of at most ``CACHE_DEPTH`` units; it renders
 rows as part tuples or, for the CLI, as text.  The chains come from a
 generator of index tuples.  The public ``enumerate_*`` functions build their
-lists of validated objects from these; the brute-force coefficient and the
-chain sums read the tuples directly.  Only the coefficient functions use
-``fractions``, and they import it, so enumeration does not load it.
+lists of validated objects from these.  The brute-force coefficient builds
+no tuples: it carries one product per prefix of the same recursion.  Only the
+coefficient functions use ``fractions``, and they import it, so enumeration
+does not load it.
 """
 
 from __future__ import annotations
@@ -242,7 +243,11 @@ def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
     With u_i = N_i / D over the lcm D of the denominators of u_1..u_n, a
     composition with m parts contributes prod N_part / D^m: the integer
     products are summed per part count m, and the buckets are combined over
-    D^n once at the end.
+    D^n once at the end.  Each product is formed once: the compositions of
+    every remainder of at most ``CACHE_DEPTH`` units get their products once
+    per call, by part count, each from a shorter one by one multiplication,
+    and a walk over the longer prefixes carries one running product per
+    prefix and multiplies it into each continuation.
     """
     from fractions import Fraction
 
@@ -258,10 +263,24 @@ def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
     from .exact import _integer_numerators
 
     nums, den = _integer_numerators(_padded(u, n)[:n])
+    # tails[r][j]: the products of the compositions of r with j parts, each
+    # its first part's numerator times a product of tails[r - a][j - 1].
+    depth = min(n, CACHE_DEPTH)
+    tails = [[[1]]]
+    for r in range(1, depth + 1):
+        tails.append([[]] + [[x for a in range(1, r - j + 2)
+                              for x in map(nums[a - 1].__mul__, tails[r - a][j - 1])]
+                             for j in range(1, r + 1)])
     buckets = [0] * (n + 1)
-    for parts in _part_tuples(n):
-        prod = 1
-        for part in parts:
-            prod *= nums[part - 1]
-        buckets[len(parts)] += prod
+
+    def walk(r: int, m: int, prod: int) -> None:
+        # A prefix of m parts with product prod leaves r units.
+        if r <= depth:
+            for j, tail in enumerate(tails[r]):
+                buckets[m + j] += sum(map(prod.__mul__, tail))
+            return
+        for a in range(1, r + 1):
+            walk(r - a, m + 1, prod * nums[a - 1])
+
+    walk(n, 0, 1)
     return Fraction(sum(b * den ** (n - m) for m, b in enumerate(buckets)), den**n)

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import ConsistencyError, DivergenceError, _Record
-from .exact import binomial
+from .exact import _factorize, binomial
 from .power_sums import bernoulli_oracle
 
 # Unit roundoff of IEEE double precision.
@@ -36,22 +36,6 @@ _U = 2.0**-53
 # Error of one table root, in units of _U: its angle 2 pi (t/n) carries three
 # roundings of a value below 2 pi (at most 19 _U), cos and sin one ulp each.
 _ROOT_ERR = 24
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _prime_divisors(n: int) -> list[int]:

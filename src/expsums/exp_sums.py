@@ -23,14 +23,20 @@ for the reflection.  Each identity is thus two integer coefficient lists in
 s, built once per (p, k) from the module's ``binomial`` at call time.  One
 builder, ``_weights``, evaluates both at s = 0..k-1 with
 ``Polynomial.evaluate``, and one kernel, ``_class_vector``, adds the two
-tables at -m and +m (``_scatter``) to an integer vector in Z[x]/(x^k - 1),
-one vector per residue class.  For prop1 the vector is reduced mod Phi_k once.
-That equals reducing every term and adding the residues, because reduction
-Z[x]/(x^k - 1) -> Q[x]/Phi_k is a ring homomorphism and a reduced residue is
-canonical; the zero test is therefore unchanged.
+tables at -m and +m to an integer vector in Z[x]/(x^k - 1), one vector per
+residue class: gathered through cached index tuples when m is a unit mod k,
+scattered (``_scatter``) otherwise.  The prop1 sweep only asks whether each
+vector is 0 mod Phi_k, and ``exact._is_zero_mod_phi`` decides that by integer
+orbit sums, without dividing; a vector is reduced mod Phi_k only when it is
+not, to print its residue.  Testing the vector equals testing the sum of the
+reduced terms, because reduction Z[x]/(x^k - 1) -> Q[x]/Phi_k is a ring
+homomorphism.  ``prop1_residual_cyclo`` and ``exp_power_sum_cyclo`` return
+reduced residues.
 
-The chain sums multiply entries of one Pascal table, built from ``binomial``
-per call, along each chain of ``compositions._chain_tuples``.
+The chain sums form each chain's signed product once, from the product of
+the chain without its last index times one entry of a Pascal table built
+from ``binomial`` per call; ``_chain_groups`` walks the chains grouped by
+last index.
 
 The floating sums share one kernel, ``_power_sums_complex``: the sums for
 every exponent 0..P at one frequency class mod k, in one pass over s, from
@@ -44,11 +50,12 @@ frequencies +-k/2 share one.
 from __future__ import annotations
 
 import cmath
-from typing import NamedTuple, Sequence
+import math
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
-from .compositions import _chain_tuples
 from .errors import PreconditionError, _Record
-from .exact import CyclotomicElement, Polynomial, binomial
+from .exact import CyclotomicElement, Polynomial, _is_zero_mod_phi, binomial
 
 
 class ExpSumQuery(_Record):
@@ -152,22 +159,32 @@ def _prop1_weights(p: int, k: int) -> tuple[list[int], list[int]]:
     return _weights([0] * p + [1], g, k)
 
 
+@lru_cache(maxsize=None)
+def _gather_index(k: int, e: int) -> tuple[int, ...]:
+    """For a unit e mod k, the s in [0, k) with e*s = j mod k, for j = 0..k-1."""
+    inverse = pow(e, -1, k)
+    return tuple(inverse * j % k for j in range(k))
+
+
 def _class_vector(k: int, constant: int, weights: tuple[list[int], list[int]],
                   m: int) -> list[int]:
     """One residue class's residual in Z[x]/(x^k - 1): the constant plus the
-    weight tables scattered at frequencies -m and +m."""
+    weight tables at frequencies -m and +m.
+
+    For m a unit mod k, s -> +-m*s permutes the nonzero residues, so every
+    coefficient j != 0 reads one entry of each table, s = -+m^-1 * j (a
+    gather through cached index tuples); otherwise the tables are scattered.
+    """
     at_minus, at_plus = weights
-    vec = [0] * k
+    if math.gcd(m, k) != 1:
+        vec = [constant] + [0] * (k - 1)
+        _scatter(vec, at_minus, -m)
+        _scatter(vec, at_plus, m)
+        return vec
+    vec = [at_minus[i] + at_plus[j]
+           for i, j in zip(_gather_index(k, -m % k), _gather_index(k, m % k))]
     vec[0] = constant
-    _scatter(vec, at_minus, -m)
-    _scatter(vec, at_plus, m)
     return vec
-
-
-def _prop1_class_residual(p: int, k: int, mm: int,
-                          weights: tuple[list[int], list[int]]) -> CyclotomicElement:
-    # Reduced mod Phi_k once.
-    return CyclotomicElement(k, Polynomial(_class_vector(k, k**p, weights, mm)))
 
 
 def prop1_residual_cyclo(p: int, k: int, m: int) -> CyclotomicElement:
@@ -181,7 +198,8 @@ def prop1_residual_cyclo(p: int, k: int, m: int) -> CyclotomicElement:
     instead of -1 and the identity breaks).
     """
     mm = _require_nondivisible(p, k, m)
-    return _prop1_class_residual(p, k, mm, _prop1_weights(p, k))
+    vec = _class_vector(k, k**p, _prop1_weights(p, k), mm)
+    return CyclotomicElement(k, Polynomial(vec))
 
 
 class FloatResidual(NamedTuple):
@@ -240,8 +258,10 @@ def eq3_residual_poly(p: int, k: int) -> Polynomial:
     # H(s) at -m and -(-1)^p s^p at +m, as in the module docstring.
     h = [(-1) ** (p + a) * binomial(p, a) * k ** (p - a) for a in range(p)] + [1]
     weights = _weights(h, [0] * p + [-(-1) ** p], k)
-    return Polynomial(max((_class_vector(k, 0, weights, m) for m in range(k)),
-                          key=lambda vec: max(map(abs, vec))))
+    vecs = [_class_vector(k, 0, weights, m) for m in range(k)]
+    if not any(map(any, vecs)):
+        return Polynomial()
+    return Polynomial(max(vecs, key=lambda vec: max(map(abs, vec))))
 
 
 def chain_coefficient_sum(p: int, a: int) -> int:
@@ -264,21 +284,44 @@ def chain_coefficient_sum(p: int, a: int) -> int:
     return _chain_sum(p, a)[0]
 
 
-def _chain_sum(p: int, a: int) -> tuple[int, int]:
-    # The chain sum for 1 <= a <= p and the number of chains it ran over:
-    # Pascal-table products along (p, i_1, ..., i_r, p - a), signed
-    # (-1)^(p+r+1), which is + when p + r is odd.
-    lower = p - a
+def _chain_groups(p: int, lower: int) -> Iterator[tuple[int, int, int]]:
+    """The chains p > i_1 > ... > i_r > lower in groups that share their last
+    index: (C(i_r, lower), the sum of their signed prefix products
+    (-1)^(p+r+1) C(p, i_1) ... C(i_(r-1), i_r), their number), the empty
+    chain (i_r = p) first.
+
+    Each product is formed once, from its chain minus the last index, by one
+    signed Pascal-table entry.  The walk runs once per first index i_1, so
+    only the chains below one i_1 are alive; it keeps them grouped by last
+    index and extends a whole group with one list operation, largest index
+    first, so a group is complete when it is reached.  Chains ending at
+    lower + 1 cannot grow: they are summed as they are made, not stored.
+    """
     pascal = [[binomial(n, r) for r in range(n + 1)] for n in range(p + 1)]
+    end = lower + 1
+    empty = 1 if p % 2 else -1
+    yield pascal[p][lower], empty, 1
+    for first in range(end, p):
+        link = -empty * pascal[p][first]
+        if first == end:
+            yield pascal[end][lower], link, 1
+            continue
+        groups: dict[int, list[int]] = {first: [link]}
+        for hi in range(first, end, -1):
+            prods = groups.pop(hi)
+            row = pascal[hi]
+            for lo in range(end + 1, hi):
+                groups.setdefault(lo, []).extend(map((-row[lo]).__mul__, prods))
+            yield pascal[end][lower], sum(map((-row[end]).__mul__, prods)), len(prods)
+            yield row[lower], sum(prods), len(prods)
+
+
+def _chain_sum(p: int, a: int) -> tuple[int, int]:
+    # The chain sum for 1 <= a <= p and the number of chains it ran over.
     total = count = 0
-    for indices in _chain_tuples(p, lower):
-        prod, hi = 1, p
-        for lo in indices:
-            prod *= pascal[hi][lo]
-            hi = lo
-        prod *= pascal[hi][lower]
-        total += prod if (p + len(indices)) % 2 else -prod
-        count += 1
+    for closing, signed, chains in _chain_groups(p, p - a):
+        total += closing * signed
+        count += chains
     return total, count
 
 
@@ -315,17 +358,19 @@ def run_prop1_exact(pmax: int, kmax: int) -> SweepResult:
     failures = []
     for p in range(1, pmax + 1):
         for k in range(2, kmax + 1):
-            weights = _prop1_weights(p, k)
-            by_class = [None] + [_prop1_class_residual(p, k, mm, weights)
-                                 for mm in range(1, k)]
+            weights, constant = _prop1_weights(p, k), k**p
+            failing = {}
+            for mm in range(1, k):
+                vec = _class_vector(k, constant, weights, mm)
+                if not _is_zero_mod_phi(vec):
+                    failing[mm] = CyclotomicElement(k, Polynomial(vec)).residue
             for m in range(1, 3 * k + 1):
                 if m % k == 0:
                     continue
                 cases += 1
-                res = by_class[m % k]
-                if not res.is_zero:
+                if m % k in failing:
                     failures.append(_failure(f"p={p} k={k} m={m}",
-                                             f"nonzero residue {res.residue}"))
+                                             f"nonzero residue {failing[m % k]}"))
     return SweepResult("prop1-exact", cases, tuple(failures))
 
 

@@ -247,10 +247,16 @@ PERTURBED_BINOMIALS = {
 }
 
 
-def chains_without_the_empty_one(upper: int, lower: int, length=None):
-    """The chain index tuples minus the first, the empty chain: a perturbed
-    chain side for the coeffs gate (every a >= 1 sum loses C(p, p-a))."""
-    return [c.indices for c in enumerate_chains(upper, lower, length)[1:]]
+def chains_without_the_empty_one(upper: int, lower: int):
+    """Every chain of ``enumerate_chains(upper, lower)`` but the first, the
+    empty chain, in the form of ``exp_sums._chain_groups``: one group
+    (C(i_r, lower), (-1)^(upper+r+1) C(upper, i_1) ... C(i_(r-1), i_r), 1)
+    per chain.  A perturbed chain side for the coeffs gate (every a >= 1 sum
+    loses its C(p, p-a) term)."""
+    for chain in enumerate_chains(upper, lower)[1:]:
+        seq = (upper, *chain.indices)
+        prod = math.prod(math.comb(hi, lo) for hi, lo in zip(seq, seq[1:]))
+        yield math.comb(seq[-1], lower), (-1) ** (upper + chain.length + 1) * prod, 1
 
 
 def b2_off_by_a_third(n: int) -> Fraction:

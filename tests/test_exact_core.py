@@ -2,7 +2,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsums import (
@@ -19,6 +19,7 @@ from expsums import (
     poly_coefficient,
     polynomial_from_points,
 )
+from expsums.exact import _is_zero_mod_phi
 from helpers import (
     brute_totient,
     lagrange_cubic,
@@ -247,6 +248,26 @@ class TestCyclotomic:
             phi = cyclotomic_polynomial(k)
             assert phi.coeffs[-1] == 1
             assert all(Fraction(c).denominator == 1 for c in phi.coeffs)
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 80), st.booleans(), st.data())
+    def test_zero_test_agrees_with_long_division(self, k, multiple, data):
+        # Half the vectors are multiples of Phi_k folded into Z[x]/(x^k - 1),
+        # some of them then perturbed in one coefficient; the others are
+        # drawn freely.  The oracle is a zero remainder of dense division.
+        coeffs = st.integers(-10**6, 10**6)
+        phi = cyclotomic_polynomial(k)
+        if multiple:
+            vec = [0] * k
+            for i, q in enumerate(data.draw(st.lists(coeffs, min_size=1, max_size=k))):
+                for j, c in enumerate(phi.coeffs):
+                    vec[(i + j) % k] += q * c
+            if data.draw(st.booleans()):
+                vec[data.draw(st.integers(0, k - 1))] += data.draw(coeffs.filter(bool))
+        else:
+            vec = data.draw(st.lists(coeffs, min_size=k, max_size=k))
+        remainder = schoolbook_divmod(Polynomial(vec), phi)[1]
+        assert _is_zero_mod_phi(vec) == remainder.is_zero
 
 
 class TestCyclotomicElement:

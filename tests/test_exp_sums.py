@@ -1,8 +1,9 @@
 import cmath
+import random
 
 import pytest
 
-from expsums import compositions, exp_sums
+from expsums import exp_sums
 from expsums import (
     ExpSumQuery,
     Polynomial,
@@ -219,13 +220,14 @@ class TestSweeps:
         # The chains in (p-a, p) are the subsets of its a-1 interior points;
         # the a = p set also gives the 2^(p-1) count, without a second pass.
         enumerated = []
+        walk = exp_sums._chain_groups
 
         def counted(p, q):
-            chains = list(compositions._chain_tuples(p, q))
-            enumerated.append(len(chains))
-            return chains
+            for closing, signed, chains in walk(p, q):
+                enumerated.append(chains)
+                yield closing, signed, chains
 
-        monkeypatch.setattr(exp_sums, "_chain_tuples", counted)
+        monkeypatch.setattr(exp_sums, "_chain_groups", counted)
         sweep = run_coefficient_check(8)
         assert sweep.ok and sweep.cases == sum(p + 2 for p in range(1, 9))
         assert sum(enumerated) == sum(2**p - 1 for p in range(1, 9))
@@ -300,6 +302,22 @@ def _prop1_grid(pmax, kmax):
                     yield p, k, m
 
 
+class TestClassVector:
+    def test_gather_equals_the_scatter_for_every_frequency(self):
+        # Each table entry s lands on x^(e*s mod k), e = -m and +m; the
+        # constant on x^0.  Units m are gathered, the rest scattered.
+        rng = random.Random(2201)
+        for k in range(2, 41):
+            weights = tuple([rng.randint(-10**9, 10**9) for _ in range(k)] for _ in "-+")
+            constant = rng.randint(-10**9, 10**9)
+            for m in range(k):
+                want = [constant] + [0] * (k - 1)
+                for e, table in zip((-m, m), weights):
+                    for s in range(1, k):
+                        want[e * s % k] += table[s]
+                assert exp_sums._class_vector(k, constant, weights, m) == want, (k, m)
+
+
 class TestProp1TermwiseReference:
     def test_equals_termwise_reference(self):
         for p, k, m in _prop1_grid(5, 10):
@@ -346,6 +364,13 @@ class TestChainSumReference:
             for a in range(1, p + 1):
                 assert chain_coefficient_sum(p, a) == chain_sum_reference(p, a), (p, a)
 
+    def test_walk_sum_and_count_equal_a_literal_loop(self):
+        # Up to the coeffs cap: the walk's total and its number of chains.
+        for p in range(1, 17):
+            for a in range(1, p + 1):
+                want = (chain_sum_reference(p, a), len(enumerate_chains(p, p - a)))
+                assert exp_sums._chain_sum(p, a) == want, (p, a)
+
     def test_pascal_table_reads_the_module_binomial(self, monkeypatch):
         # The table is built from exp_sums.binomial when the sum runs, so a
         # perturbation patched over it reaches every product.
@@ -391,7 +416,7 @@ class TestGatesCanFail:
     def test_coeffs_reports_failures(self, monkeypatch):
         # Only the chain side is perturbed: every chain sum with a >= 1 loses
         # its empty-chain term and every chain count falls short by one.
-        monkeypatch.setattr(exp_sums, "_chain_tuples", chains_without_the_empty_one)
+        monkeypatch.setattr(exp_sums, "_chain_groups", chains_without_the_empty_one)
         sweep = run_coefficient_check(4)
         assert sweep.cases == 18
         assert [r["case"] for r in sweep.failures] == [
