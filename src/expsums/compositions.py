@@ -6,15 +6,15 @@ are 2^(n-1) of them.  Strictly decreasing chains drawn from an open integer
 interval are in bijection with compositions (subtract consecutive entries),
 and that bijection is implemented once with an explicit ``lower`` endpoint.
 
-Enumeration is lazy.  The compositions come from one prefix recursion that
+Enumerating compositions is lazy.  They come from one prefix recursion that
 yields blocks of rows sharing a prefix, their continuations enumerated once
 per call for every remainder of at most ``CACHE_DEPTH`` units; it renders
-rows as part tuples or, for the CLI, as text.  The chains come from a
-generator of index tuples.  The public ``enumerate_*`` functions build their
-lists of validated objects from these.  The brute-force coefficient builds
-no tuples: it carries one product per prefix of the same recursion.  Only the
-coefficient functions use ``fractions``, and they import it, so enumeration
-does not load it.
+rows as part tuples or, for the CLI, as text.  The chains are the subsets of
+the interval from ``itertools.combinations``, each in descending order.  The
+public ``enumerate_*`` functions build lists of validated objects.  The
+brute-force coefficient builds no tuples: it carries one product per prefix
+of the same recursion.  Only the coefficient functions use ``fractions``, and
+they import it, so enumeration does not load it.
 """
 
 from __future__ import annotations
@@ -163,16 +163,6 @@ def enumerate_compositions_length(n: int, m: int) -> list[Composition]:
     return [Composition(parts, n) for parts in _part_tuples(n, m)]
 
 
-def _chain_tuples(upper: int, lower: int, length: int | None = None) -> Iterator[tuple[int, ...]]:
-    """The index tuples of :func:`enumerate_chains`, in its order, produced
-    lazily; the interval is checked when this is called."""
-    if lower < 0 or upper <= lower:
-        raise ValueError(f"need 0 <= lower < upper, got lower={lower} upper={upper}")
-    interval = range(lower + 1, upper)
-    lengths = range(len(interval) + 1) if length is None else [length]
-    return (combo[::-1] for r in lengths for combo in itertools.combinations(interval, r))
-
-
 def enumerate_chains(upper: int, lower: int, length: int | None = None) -> list[DecreasingChain]:
     """All strictly decreasing chains from the open interval (lower, upper).
 
@@ -180,8 +170,13 @@ def enumerate_chains(upper: int, lower: int, length: int | None = None) -> list[
     the empty chain comes first.  There are 2^(upper-lower-1) in total and
     C(upper-lower-1, r) of each length r.
     """
-    return [DecreasingChain(indices, upper, lower)
-            for indices in _chain_tuples(upper, lower, length)]
+    # Checked here: a length with no chains would otherwise hide a bad interval.
+    if lower < 0 or upper <= lower:
+        raise ValueError(f"need 0 <= lower < upper, got lower={lower} upper={upper}")
+    interval = range(lower + 1, upper)
+    lengths = range(len(interval) + 1) if length is None else [length]
+    return [DecreasingChain(combo[::-1], upper, lower)
+            for r in lengths for combo in itertools.combinations(interval, r)]
 
 
 def chain_to_composition(chain: DecreasingChain) -> Composition:

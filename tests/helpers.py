@@ -8,11 +8,13 @@ under test.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import expsums
@@ -143,31 +145,43 @@ def s_sum_double_loop(m: int, chi) -> complex:
     return total
 
 
-def l_reference(r: int, chi, N: int) -> complex:
-    """Long plain truncation of sum chi(n)/n^r, coded independently (numpy
-    over all n, character values by table lookup)."""
-    import numpy as np  # only this oracle needs numpy
+@functools.lru_cache(maxsize=None)
+def _class_sums(r: int, k: int, N: int) -> tuple[float, ...]:
+    """S_a = sum of n^-r over n <= N with n = a (mod k), for a = 1..k: one
+    ``math.fsum`` of the rounded terms per class, shared by every character
+    mod k."""
+    return tuple(math.fsum(map(pow, range(a, N + 1, k), repeat(-r))) for a in range(1, k + 1))
 
-    vals = np.array(chi.values, dtype=complex)
-    total = 0j
-    block = 1 << 21
-    for start in range(1, N + 1, block):
-        ns = np.arange(start, min(start + block, N + 1), dtype=np.int64)
-        total += complex(np.sum(vals[ns % chi.modulus] / ns.astype(np.float64) ** r))
-    return total
+
+def l_reference(r: int, chi, N: int) -> complex:
+    """Long plain truncation sum_(n <= N) chi(n)/n^r, coded independently:
+    sum_a chi(a) S_a over the class sums of ``_class_sums``."""
+    k = chi.modulus
+    return sum(chi.values[a % k] * s for a, s in enumerate(_class_sums(r, k, N), 1))
 
 
 def l_reference_tail(r: int, chi, N: int) -> float:
-    """Bound on what l_reference(r, chi, N) leaves out: 2 P / (N + 1) for
-    r = 1 and non-principal chi (partial summation, P the largest
-    |chi(1) + ... + chi(n)| over one period), N^(1-r)/(r-1) for r >= 2."""
-    if r >= 2:
+    """Bound on what l_reference(r, chi, N) leaves out.
+
+    For non-principal chi, A(n) = chi(1) + ... + chi(n) has period k, since a
+    period sums to 0, so |A(n)| <= P, the largest |A(n)| over one period.  By
+    Abel summation, for M > N,
+
+        sum_(N < n <= M) chi(n) n^-r = A(M) M^-r - A(N) (N + 1)^-r
+                                       + sum_(N < n < M) A(n) (n^-r - (n + 1)^-r),
+
+    and the differences are positive and telescope to (N + 1)^-r - M^-r, so
+    the sum is at most P M^-r + P (N + 1)^-r + P ((N + 1)^-r - M^-r)
+    = 2 P / (N + 1)^r in modulus, for every M and every r >= 1.  For
+    principal chi the series converges only at r >= 2, and its tail is at
+    most sum_(n > N) n^-r <= N^(1-r)/(r-1), the integral of x^-r from N."""
+    if chi.principal:
         return N ** (1 - r) / (r - 1)
     prefix, largest = 0j, 0.0
     for n in range(1, chi.modulus + 1):
         prefix += chi.values[n % chi.modulus]
         largest = max(largest, abs(prefix))
-    return 2 * largest / (N + 1)
+    return 2 * largest / (N + 1) ** r
 
 
 def prop1_residual_termwise(p: int, k: int, m: int, binom=math.comb) -> CyclotomicElement:

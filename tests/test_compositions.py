@@ -107,8 +107,10 @@ class TestPartTuples:
         for args in [(0,), (25,), (5, 0), (5, 6)]:
             with pytest.raises(ValueError):
                 compositions._part_tuples(*args)
-        with pytest.raises(ValueError):
-            compositions._chain_tuples(3, 3)
+        # No chain of length 1 fits (3, 3): only the interval check rejects it.
+        for kwargs in [{}, {"length": 1}]:
+            with pytest.raises(ValueError, match="need 0 <= lower < upper"):
+                enumerate_chains(3, 3, **kwargs)
 
 
 class TestChainBijection:

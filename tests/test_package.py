@@ -61,6 +61,27 @@ def test_modules_import_only_the_standard_library():
     assert outside == []
 
 
+def test_tests_import_only_the_standard_library_pytest_and_hypothesis():
+    # The test extra is pytest and hypothesis: every import in every test
+    # module, including those inside functions, names one of them, the
+    # standard library, the package or a local test module.
+    paths = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    assert "helpers.py" in {path.name for path in paths}
+    allowed = {"pytest", "hypothesis", "expsums", "helpers", "conftest"}
+    outside = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names | allowed]
+    assert outside == []
+
+
 def test_package_imports_form_an_acyclic_graph():
     # Every relative import counts: at module level, inside functions and
     # under TYPE_CHECKING.  Only the CLI handlers, which load what their
