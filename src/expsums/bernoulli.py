@@ -8,10 +8,10 @@ that coefficient of the odd-exponent halving recurrence, then insists the two
 polynomials agree in every coefficient.  ``bernoulli_table`` lists retrieved
 values and checks each against the oracle.
 
-The lower closed forms h(j, .), j < n, come from the memoised recursion that
-also serves ``h_polynomial``, so each is built once for all n.  The memo is
-keyed by the Bernoulli source, and retrieval's source is the retrieved values,
-so it never reads a polynomial built from ``bernoulli_oracle``.
+The lower closed forms h(j, .), j < p, are retrieval's own, each built once:
+the Bernoulli-free interpolation for even j, the recurrence of the step whose
+p is j for odd j.  The closed form they are matched against takes every
+earlier retrieved B_j, so each is checked again at every later n.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Mapping
 
 from .errors import ConsistencyError, _Record
 from .exact import Polynomial, poly_coefficient, polynomial_from_points
-from .power_sums import (_closed_form, bernoulli_oracle, faulhaber_polynomial, h_naive,
-                         odd_recurrence_polynomial)
+from .power_sums import bernoulli_oracle, faulhaber_polynomial, h_naive, odd_recurrence_polynomial
 
 
 class RetrievalDetail(_Record):
@@ -38,6 +37,7 @@ class RetrievalDetail(_Record):
     closed_form_poly: Polynomial
 
 
+@lru_cache(maxsize=None)
 def _known_even_power_sum(n: int) -> Polynomial:
     """Closed form of h(n, .) for even n without any Bernoulli input.
 
@@ -65,10 +65,11 @@ def retrieve_bernoulli_detail(n: int) -> RetrievalDetail:
         raise ValueError(f"retrieval is defined for n = 1 and even n >= 2, got n={n}{note}")
     p = 1 if n == 1 else n + 1
 
-    # Lower closed forms come from retrieved B_j, j < n; at j = n the
-    # Bernoulli-free even power sum stands in for the unknown B_n.
+    # Retrieval's own lower forms; for odd j, step max(j - 1, 1) has p = j.
     def lower(j: int) -> Polynomial:
-        return _known_even_power_sum(n) if j == n else _closed_form(j, _retrieved)
+        if j % 2 == 0:
+            return _known_even_power_sum(j)
+        return retrieve_bernoulli_detail(max(j - 1, 1)).recurrence_poly
 
     recurrence_poly = odd_recurrence_polynomial(p, lower)
     # B_n enters Faulhaber's form at this degree only; its weight there is the

@@ -35,8 +35,8 @@ reduced residues.
 
 The chain sums form each chain's signed product once, from the product of
 the chain without its last index times one entry of a Pascal table built
-from ``binomial`` per call; ``_chain_groups`` walks the chains grouped by
-last index.
+from ``binomial`` when the sum runs, once per p for the whole coeffs sweep;
+``_chain_groups`` walks the chains grouped by last index.
 
 The floating sums share one kernel, ``_power_sums_complex``: the sums for
 every exponent 0..P at one frequency class mod k, in one pass over s, from
@@ -279,16 +279,19 @@ def chain_coefficient_sum(p: int, a: int) -> int:
         raise ValueError(f"p must be >= 1, got {p}")
     if a < 0 or a > p:
         raise ValueError(f"need 0 <= a <= p, got a={a}, p={p}")
-    if a == 0:
-        return (-1) ** p
-    return _chain_sum(p, a)[0]
+    return _chain_sum(_pascal(p), a)[0]
 
 
-def _chain_groups(p: int, lower: int) -> Iterator[tuple[int, int, int]]:
-    """The chains p > i_1 > ... > i_r > lower in groups that share their last
-    index: (C(i_r, lower), the sum of their signed prefix products
-    (-1)^(p+r+1) C(p, i_1) ... C(i_(r-1), i_r), their number), the empty
-    chain (i_r = p) first.
+def _pascal(p: int) -> list[list[int]]:
+    """Rows 0..p of Pascal's triangle, from the module's ``binomial``."""
+    return [[binomial(n, r) for r in range(n + 1)] for n in range(p + 1)]
+
+
+def _chain_groups(pascal: list[list[int]], lower: int) -> Iterator[tuple[int, int, int]]:
+    """The chains p > i_1 > ... > i_r > lower, p = len(pascal) - 1, in groups
+    that share their last index: (C(i_r, lower), the sum of their signed
+    prefix products (-1)^(p+r+1) C(p, i_1) ... C(i_(r-1), i_r), their
+    number), the empty chain (i_r = p) first.
 
     Each product is formed once, from its chain minus the last index, by one
     signed Pascal-table entry.  The walk runs once per first index i_1, so
@@ -297,7 +300,7 @@ def _chain_groups(p: int, lower: int) -> Iterator[tuple[int, int, int]]:
     first, so a group is complete when it is reached.  Chains ending at
     lower + 1 cannot grow: they are summed as they are made, not stored.
     """
-    pascal = [[binomial(n, r) for r in range(n + 1)] for n in range(p + 1)]
+    p = len(pascal) - 1
     end = lower + 1
     empty = 1 if p % 2 else -1
     yield pascal[p][lower], empty, 1
@@ -316,10 +319,13 @@ def _chain_groups(p: int, lower: int) -> Iterator[tuple[int, int, int]]:
             yield row[lower], sum(prods), len(prods)
 
 
-def _chain_sum(p: int, a: int) -> tuple[int, int]:
-    # The chain sum for 1 <= a <= p and the number of chains it ran over.
+def _chain_sum(pascal: list[list[int]], a: int) -> tuple[int, int]:
+    # The chain sum for 0 <= a <= p = len(pascal) - 1 and the number of chains.
+    p = len(pascal) - 1
+    if a == 0:
+        return (-1) ** p, 1
     total = count = 0
-    for closing, signed, chains in _chain_groups(p, p - a):
+    for closing, signed, chains in _chain_groups(pascal, p - a):
         total += closing * signed
         count += chains
     return total, count
@@ -430,12 +436,10 @@ def run_coefficient_check(pmax: int) -> SweepResult:
     cases = 0
     failures = []
     for p in range(1, pmax + 1):
+        pascal = _pascal(p)
         for a in range(p + 1):
             cases += 1
-            if a < p:
-                got = chain_coefficient_sum(p, a)
-            else:
-                got, n_chains = _chain_sum(p, p)
+            got, n_chains = _chain_sum(pascal, a)
             want = (-1) ** (p - a) * binomial(p, a)
             if got != want:
                 failures.append(_failure(f"p={p} a={a}", f"chain sum {got}, closed form {want}"))

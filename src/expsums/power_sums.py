@@ -5,8 +5,8 @@ The evaluators are a literal summation oracle, an odd-exponent halving
 recurrence (h appears on both sides of a binomial reflection and survives
 with factor 2 only when p is odd), the Bernoulli-number closed form, and
 symbolic closed-form polynomials in k.  All agree exactly; h(p, 0) = 0 and
-0^0 = 1 by convention.  The recurrence runs Horner's scheme in (k+1); the
-one memo, ``_closed_form``, holds a polynomial per exponent and Bernoulli source.
+0^0 = 1 by convention.  The recurrence runs Horner's scheme in (k+1);
+``h_polynomial`` memoises one closed form per exponent.
 
 ``bernoulli_oracle`` reads even-index B_n off the tangent number T_(n/2),
 B_n = (-1)^(n/2-1) n T_(n/2) / (2^n (2^n - 1)), and grows the tangent
@@ -108,14 +108,6 @@ def odd_recurrence_polynomial(p: int, lower: Callable[[int], Polynomial]) -> Pol
 
 
 @lru_cache(maxsize=None)
-def _closed_form(p: int, bern: Callable[[int], Fraction]) -> Polynomial:
-    """Closed form of h(p, .): Faulhaber's from ``bern`` for even p, the
-    halving recurrence for odd p.  Memoised per source, so sources never mix."""
-    if p % 2 == 0:
-        return faulhaber_polynomial(p, bern)
-    return odd_recurrence_polynomial(p, lambda j: _closed_form(j, bern))
-
-
 def h_polynomial(p: int) -> Polynomial:
     """Closed-form polynomial for h(p, .): degree p+1, leading coefficient
     1/(p+1), zero constant term.
@@ -125,7 +117,9 @@ def h_polynomial(p: int) -> Polynomial:
     """
     if p < 1:
         raise ValueError(f"h_polynomial requires p >= 1, got {p}")
-    return _closed_form(p, bernoulli_oracle)
+    if p % 2 == 0:
+        return faulhaber_polynomial(p, bernoulli_oracle)
+    return odd_recurrence_polynomial(p, h_polynomial)
 
 
 def _integral_value(poly: Polynomial, p: int, k: int) -> int:
@@ -148,7 +142,7 @@ def h_recurrence(p: int, k: int) -> int:
     """Evaluate h(p, k) through the odd-exponent halving recurrence.
 
     Walks q = 1..p once, bottom-up: odd q by the recurrence (Horner's scheme
-    in k+1) over the values below q, even q from the shared closed form (the
+    in k+1) over the values below q, even q from ``h_polynomial`` (the
     recurrence cannot produce them).  Each division by 2 must be exact.
     """
     if p < 1:

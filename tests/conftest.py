@@ -5,9 +5,10 @@ from expsums import bernoulli, power_sums
 
 @pytest.fixture
 def cold_closed_forms():
-    # Empty the shared closed-form memo and the retrieval memo before and
+    # Empty the closed-form memos of h_polynomial and of retrieval before and
     # after, so no other test sees the polynomials built here.
-    caches = (power_sums._closed_form, bernoulli.retrieve_bernoulli_detail)
+    caches = (power_sums.h_polynomial, bernoulli._known_even_power_sum,
+              bernoulli.retrieve_bernoulli_detail)
     for cache in caches:
         cache.cache_clear()
     yield

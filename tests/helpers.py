@@ -261,12 +261,14 @@ PERTURBED_BINOMIALS = {
 }
 
 
-def chains_without_the_empty_one(upper: int, lower: int):
-    """Every chain of ``enumerate_chains(upper, lower)`` but the first, the
-    empty chain, in the form of ``exp_sums._chain_groups``: one group
+def chains_without_the_empty_one(pascal, lower: int):
+    """Every chain of ``enumerate_chains(upper, lower)``, upper =
+    len(pascal) - 1, but the first, the empty chain, in the form of
+    ``exp_sums._chain_groups``: one group
     (C(i_r, lower), (-1)^(upper+r+1) C(upper, i_1) ... C(i_(r-1), i_r), 1)
-    per chain.  A perturbed chain side for the coeffs gate (every a >= 1 sum
-    loses its C(p, p-a) term)."""
+    per chain, from ``math.comb``, not the table.  A perturbed chain side for
+    the coeffs gate (every a >= 1 sum loses its C(p, p-a) term)."""
+    upper = len(pascal) - 1
     for chain in enumerate_chains(upper, lower)[1:]:
         seq = (upper, *chain.indices)
         prod = math.prod(math.comb(hi, lo) for hi, lo in zip(seq, seq[1:]))

@@ -206,11 +206,11 @@ class TestTable:
             bernoulli_table(-1)
 
 
-class TestSharedClosedForms:
+class TestRetrievalOwnClosedForms:
     def test_retrieval_never_reads_oracle_closed_forms(self, cold_closed_forms, monkeypatch):
-        # Fill the shared memo through h_polynomial from a deliberately wrong
-        # oracle: a memo keyed by p alone would hand these polynomials to
-        # retrieval, and its solved values or its coefficient check would break.
+        # Fill h_polynomial's memo from a deliberately wrong oracle: retrieval
+        # builds its own lower forms, and if it read these polynomials its
+        # solved values or its coefficient check would break.
         monkeypatch.setattr(power_sums, "bernoulli_oracle",
                             lambda n: bernoulli_oracle(n) + (n == 2))
         for p in range(1, 14):
@@ -226,26 +226,28 @@ class TestSharedClosedForms:
         assert values == {n: bernoulli_oracle(n) for n in indices}
 
     def test_cold_table_builds_each_closed_form_once(self, cold_closed_forms, monkeypatch):
-        # Per retrieved n: one recurrence and two Faulhaber forms.  Shared:
-        # one closed form per exponent below 30.
+        # Per retrieved n (1 and the 15 even n <= 30): one recurrence and two
+        # Faulhaber forms.  Per even j <= 30: one interpolation.  No other
+        # closed form is built.
         calls = Counter()
-        originals = {name: getattr(power_sums, name)
-                     for name in ("odd_recurrence_polynomial", "faulhaber_polynomial")}
+        originals = {name: getattr(bernoulli, name) for name in (
+            "odd_recurrence_polynomial", "faulhaber_polynomial", "polynomial_from_points")}
 
         def counted(name):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return originals[name](*args)
+                return originals[name](*args, **kwargs)
 
             return wrapper
 
         for module in (power_sums, bernoulli):
             for name in originals:
-                monkeypatch.setattr(module, name, counted(name))
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name))
         table = bernoulli_table(30)
         assert [table[n] for n in range(31)] == [bernoulli_oracle(n) for n in range(31)]
-        assert calls["odd_recurrence_polynomial"] <= 31
-        assert calls["faulhaber_polynomial"] <= 46
+        assert calls == Counter(odd_recurrence_polynomial=16, faulhaber_polynomial=32,
+                                polynomial_from_points=15)
 
 
 class TestGatesCanFail:
@@ -263,6 +265,15 @@ class TestGatesCanFail:
         # the table's oracle cross-check can refuse.
         with pytest.raises(ConsistencyError, match="B_1 = 1/2 disagrees with the oracle"):
             bernoulli_table(1)
+
+    def test_wrong_earlier_value_is_refused_later(self, cold_closed_forms, monkeypatch):
+        # B_4's own forms are right, but the closed form it is matched against
+        # takes B_2 as retrieved: a wrong B_2 must refuse B_4.
+        original = bernoulli._retrieved
+        monkeypatch.setattr(bernoulli, "_retrieved",
+                            lambda j: original(j) + Fraction(int(j == 2), 3))
+        with pytest.raises(ConsistencyError, match=r"^retrieval of B_4: "):
+            retrieve_bernoulli_detail(4)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 4, 6, 10, 30])

@@ -222,8 +222,8 @@ class TestSweeps:
         enumerated = []
         walk = exp_sums._chain_groups
 
-        def counted(p, q):
-            for closing, signed, chains in walk(p, q):
+        def counted(pascal, q):
+            for closing, signed, chains in walk(pascal, q):
                 enumerated.append(chains)
                 yield closing, signed, chains
 
@@ -231,6 +231,20 @@ class TestSweeps:
         sweep = run_coefficient_check(8)
         assert sweep.ok and sweep.cases == sum(p + 2 for p in range(1, 9))
         assert sum(enumerated) == sum(2**p - 1 for p in range(1, 9))
+
+    def test_coefficient_sweep_builds_one_pascal_table_per_p(self, monkeypatch):
+        # Rows 0..p once per p, (p+1)(p+2)/2 entries, and one closed form per
+        # (p, a): 815 + 135 binomials up to p = 15.
+        calls = []
+        binom = exp_sums.binomial
+
+        def counted(n, r):
+            calls.append((n, r))
+            return binom(n, r)
+
+        monkeypatch.setattr(exp_sums, "binomial", counted)
+        assert run_coefficient_check(15).ok
+        assert len(calls) == 950
 
     def test_prop1_float_shared_g_table_is_bit_identical(self):
         # The sweep's f and g tables run to P = pmax; the entries j <= p are
@@ -369,7 +383,7 @@ class TestChainSumReference:
         for p in range(1, 17):
             for a in range(1, p + 1):
                 want = (chain_sum_reference(p, a), len(enumerate_chains(p, p - a)))
-                assert exp_sums._chain_sum(p, a) == want, (p, a)
+                assert exp_sums._chain_sum(exp_sums._pascal(p), a) == want, (p, a)
 
     def test_pascal_table_reads_the_module_binomial(self, monkeypatch):
         # The table is built from exp_sums.binomial when the sum runs, so a
