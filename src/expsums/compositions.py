@@ -12,14 +12,15 @@ per call for every remainder of at most ``CACHE_DEPTH`` units; it renders
 rows as part tuples or, for the CLI, as text.  The chains are the subsets of
 the interval from ``itertools.combinations``, each in descending order.  The
 public ``enumerate_*`` functions build lists of validated objects.  The
-brute-force coefficient builds no tuples: it carries one product per prefix
-of the same recursion.  Only the coefficient functions use ``fractions``, and
-they import it, so enumeration does not load it.
+brute-force coefficient walks the same blocks as part tuples and multiplies
+one product per prefix into one per row.  Only the coefficient functions use
+``fractions``, and they import it, so enumeration does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import SizeLimitError, _Record
@@ -238,11 +239,10 @@ def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
     With u_i = N_i / D over the lcm D of the denominators of u_1..u_n, a
     composition with m parts contributes prod N_part / D^m: the integer
     products are summed per part count m, and the buckets are combined over
-    D^n once at the end.  Each product is formed once: the compositions of
-    every remainder of at most ``CACHE_DEPTH`` units get their products once
-    per call, by part count, each from a shorter one by one multiplication,
-    and a walk over the longer prefixes carries one running product per
-    prefix and multiplies it into each continuation.
+    D^n once at the end.  The compositions come from ``_blocks``, whose rows
+    depend only on the remainder r a prefix leaves: their products are
+    formed once per r, by part count, and each composition's product is its
+    prefix's times one of them.
     """
     from fractions import Fraction
 
@@ -258,24 +258,18 @@ def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
     from .exact import _integer_numerators
 
     nums, den = _integer_numerators(_padded(u, n)[:n])
-    # tails[r][j]: the products of the compositions of r with j parts, each
-    # its first part's numerator times a product of tails[r - a][j - 1].
-    depth = min(n, CACHE_DEPTH)
-    tails = [[[1]]]
-    for r in range(1, depth + 1):
-        tails.append([[]] + [[x for a in range(1, r - j + 2)
-                              for x in map(nums[a - 1].__mul__, tails[r - a][j - 1])]
-                             for j in range(1, r + 1)])
+    # tails[r][j]: the products of the rows with j parts that follow a prefix
+    # leaving r units.
+    tails: dict[int, list[list[int]]] = {}
     buckets = [0] * (n + 1)
-
-    def walk(r: int, m: int, prod: int) -> None:
-        # A prefix of m parts with product prod leaves r units.
-        if r <= depth:
+    for group in _blocks(n, None, (), lambda a: (a,), (), ()):
+        for prefix, rows in group:
+            r = n - sum(prefix)
+            if r not in tails:
+                tails[r] = [[] for _ in range(r + 1)]
+                for row in rows:
+                    tails[r][len(row)].append(math.prod(nums[a - 1] for a in row))
+            prod = math.prod(nums[a - 1] for a in prefix)
             for j, tail in enumerate(tails[r]):
-                buckets[m + j] += sum(map(prod.__mul__, tail))
-            return
-        for a in range(1, r + 1):
-            walk(r - a, m + 1, prod * nums[a - 1])
-
-    walk(n, 0, 1)
+                buckets[len(prefix) + j] += sum(map(prod.__mul__, tail))
     return Fraction(sum(b * den ** (n - m) for m, b in enumerate(buckets)), den**n)

@@ -246,7 +246,8 @@ def s_sum(m: int, chi: DirichletCharacter) -> complex:
 class LSeriesValue(_Record):
     """L(r, chi) with a rigorous bound on the Euler-Maclaurin remainder and a
     first-order bound on the rounding error; every n <= truncation_N was
-    summed directly."""
+    summed directly, and truncation_N / k is the least N whose tail_bound
+    is <= the target tolerance."""
 
     r: int
     value: complex
@@ -261,22 +262,24 @@ def _bernoulli_weight(j: int) -> float:
     return float(bernoulli_oracle(2 * j) / math.factorial(2 * j))
 
 
-def _remainder_bound(r: int, X: int, k: int, M: int) -> float:
-    """Bound on the remainder of one residue class after M correction terms,
-    scaled as in ``l_value``; X = a + N k is the first n not summed
-    directly, at y = X / k."""
+def _remainder_bound(r: int, k: int, N: int) -> float:
+    """Bound on the remainder of the class a = 1 after N direct terms and
+    N correction terms, scaled as in ``l_value``: X = 1 + N k is the first
+    n not summed directly, at y = X / k.  The bound falls as a grows, so it
+    bounds the remainder of every class mod k."""
+    X = 1 + N * k
     y = X / k
     if r == 1:
         # Digamma at real y > 0: the first omitted term,
-        # |B_(2M+2)| / ((2M+2) y^(2M+2)) / k = |B_(2M+2)/(2M+2)!| (2M+1)! / (X y^(2M+1)).
-        bound = abs(_bernoulli_weight(M + 1)) / X
-        for i in range(1, 2 * M + 2):
+        # |B_(2N+2)| / ((2N+2) y^(2N+2)) / k = |B_(2N+2)/(2N+2)!| (2N+1)! / (X y^(2N+1)).
+        bound = abs(_bernoulli_weight(N + 1)) / X
+        for i in range(1, 2 * N + 2):
             bound *= i / y
         return bound
     # Hurwitz zeta (Johansson, arXiv:1309.2877, Theorem 1):
-    # 4 (r)_2M / (2 pi)^2M * y^(1-r-2M) / (r+2M-1), times k^-r = y^r / X^r.
-    bound = 4.0 * y / (r + 2 * M - 1) * (1 / X**r)
-    for i in range(2 * M):
+    # 4 (r)_2N / (2 pi)^2N * y^(1-r-2N) / (r+2N-1), times k^-r = y^r / X^r.
+    bound = 4.0 * y / (r + 2 * N - 1) * (1 / X**r)
+    for i in range(2 * N):
         bound *= (r + i) / (2.0 * math.pi * y)
     return bound
 
@@ -294,11 +297,11 @@ def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
     as -log1p(a/(N k))/k because the common log N cancels against
     sum_a chi(a) = 0.  The weights come from ``bernoulli_oracle``.
 
-    tail_bound sums the remainder bounds of the classes weighted by |chi(a)|:
-    Johansson's bound for Hurwitz zeta, and for digamma (real positive
-    argument) the first omitted term.  N is the least for which the bound
-    of the first class times sum_a |chi(a)|, which dominates tail_bound, is
-    <= target_tol; truncation_N = N k: every n <= N k is summed directly.
+    tail_bound is the remainder bound of the class a = 1, which bounds every
+    class, times sum_a |chi(a)|: Johansson's bound for Hurwitz zeta, and for
+    digamma (real positive argument) the first omitted term.  N is the least
+    for which tail_bound <= target_tol; truncation_N = N k: every n <= N k is
+    summed directly.
     rounding_bound bounds the floating error to first order in the unit
     roundoff, from the magnitudes of the summed terms.
     """
@@ -310,12 +313,10 @@ def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
     if r == 1 and chi.principal:
         raise DivergenceError("L(1, chi) diverges for the principal character")
     classes = [(a, chi.values[a % k]) for a in range(1, k + 1) if chi.values[a % k] != 0]
-    # The bound falls as a grows, so the first class bounds every other one.
     weight = sum(abs(v) for _, v in classes)
     N = 1
-    while weight * _remainder_bound(r, classes[0][0] + N * k, k, N) > target_tol:
+    while (tail_bound := weight * _remainder_bound(r, k, N)) > target_tol:
         N += 1
-    tail_bound = sum(abs(v) * _remainder_bound(r, a + N * k, k, N) for a, v in classes)
     weights = [_bernoulli_weight(j) for j in range(1, N + 1)]
     value = 0j
     scale = 0.0

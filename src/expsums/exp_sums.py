@@ -25,13 +25,13 @@ builder, ``_weights``, evaluates both at s = 0..k-1 with
 ``Polynomial.evaluate``, and one kernel, ``_class_vector``, adds the two
 tables at -m and +m to an integer vector in Z[x]/(x^k - 1), one vector per
 residue class: gathered through cached index tuples when m is a unit mod k,
-scattered (``_scatter``) otherwise.  The prop1 sweep only asks whether each
-vector is 0 mod Phi_k, and ``exact._is_zero_mod_phi`` decides that by integer
-orbit sums, without dividing; a vector is reduced mod Phi_k only when it is
-not, to print its residue.  Testing the vector equals testing the sum of the
-reduced terms, because reduction Z[x]/(x^k - 1) -> Q[x]/Phi_k is a ring
-homomorphism.  ``prop1_residual_cyclo`` and ``exp_power_sum_cyclo`` return
-reduced residues.
+scattered otherwise.  ``exp_power_sum_cyclo`` places its one table, s^p
+beside zeros, the same way.  The prop1 sweep only asks whether each vector is
+0 mod Phi_k, and ``exact._is_zero_mod_phi`` decides that by integer orbit
+sums, without dividing; a vector is reduced mod Phi_k only when it is not, to
+print its residue.  Testing the vector equals testing the sum of the reduced
+terms, because reduction Z[x]/(x^k - 1) -> Q[x]/Phi_k is a ring homomorphism.
+``prop1_residual_cyclo`` and ``exp_power_sum_cyclo`` return reduced residues.
 
 The chain sums form each chain's signed product once, from the product of
 the chain without its last index times one entry of a Pascal table built
@@ -106,23 +106,15 @@ def exp_power_sum_complex(q: ExpSumQuery) -> complex:
     return _power_sums_complex(q.p, q.k, q.sign * q.m)[q.p]
 
 
-def _scatter(vec: list[int], weights: Sequence[int], e: int) -> None:
-    """Add sum_{s=1}^{k-1} weights[s] x^(e*s mod k) to vec, the coefficient
-    vector of an element of Z[x]/(x^k - 1) with k = len(vec)."""
-    k = len(vec)
-    for s in range(1, k):
-        vec[e * s % k] += weights[s]
-
-
 def exp_power_sum_cyclo(q: ExpSumQuery) -> CyclotomicElement:
     """The exact image of the sum in Q[x]/Phi_k under zeta -> x.
 
     Each term s^p zeta^(sign*m*s) becomes s^p x^((sign*m*s) mod k); the
     exponent vector in Z[x]/(x^k - 1) is reduced mod Phi_k once.
     """
-    vec = [0] * q.k
-    _scatter(vec, [s**q.p for s in range(q.k)], q.sign * q.m)
-    return CyclotomicElement(q.k, Polynomial(vec))
+    table, zeros = [s**q.p for s in range(q.k)], [0] * q.k
+    weights = (table, zeros) if q.sign == -1 else (zeros, table)
+    return CyclotomicElement(q.k, Polynomial(_class_vector(q.k, 0, weights, q.m)))
 
 
 def _require_pk(p: int, k: int) -> None:
@@ -178,8 +170,10 @@ def _class_vector(k: int, constant: int, weights: tuple[list[int], list[int]],
     at_minus, at_plus = weights
     if math.gcd(m, k) != 1:
         vec = [constant] + [0] * (k - 1)
-        _scatter(vec, at_minus, -m)
-        _scatter(vec, at_plus, m)
+        for s in range(1, k):
+            e = m * s % k
+            vec[-e % k] += at_minus[s]
+            vec[e] += at_plus[s]
         return vec
     vec = [at_minus[i] + at_plus[j]
            for i, j in zip(_gather_index(k, -m % k), _gather_index(k, m % k))]
@@ -390,21 +384,17 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
     _require_pk(pmax, kmax)
     cases = 0
     failures = []
-    tables: dict[tuple[int, int], list[complex]] = {}
+    classes = {(k, e % k) for k in range(2, kmax + 1)
+               for m in (1, k // 2, k - 1) for e in (m, -m)}
+    tables = {(k, e): _power_sums_complex(pmax, k, e) for k, e in classes}
     powers = {k: _float_powers(k, pmax) for k in range(2, kmax + 1)}
-
-    def table(k: int, e: int) -> list[complex]:
-        sums = tables.get((k, e % k))
-        if sums is None:
-            sums = tables[k, e % k] = _power_sums_complex(pmax, k, e)
-        return sums
-
     for p in range(1, pmax + 1):
         signed = _signed_binomials(p)
         for k in range(2, kmax + 1):
             for m in sorted({1, k // 2, k - 1}):
                 cases += 1
-                res = _prop1_residual_float(p, signed, powers[k], table(k, -m), table(k, m))
+                res = _prop1_residual_float(p, signed, powers[k],
+                                            tables[k, -m % k], tables[k, m % k])
                 if not float_tolerance_ok(res, p, k, tol):
                     failures.append(_failure(f"p={p} k={k} m={m}",
                                              f"abs={res.absolute:.3e} rel={res.relative:.3e}"))

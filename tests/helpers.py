@@ -184,6 +184,31 @@ def l_reference_tail(r: int, chi, N: int) -> float:
     return 2 * largest / (N + 1) ** r
 
 
+def per_class_tail_bound(r: int, chi, N: int) -> float:
+    """sum_a |chi(a)| R_a over the classes a = 1..k, with R_a the remainder
+    bound of class a alone after N direct terms and N correction terms, at
+    X = a + N k and y = X / k: the first omitted term for digamma (r = 1),
+    Johansson's bound (arXiv:1309.2877, Theorem 1) times k^-r for Hurwitz
+    zeta.  It is the sum l_value once formed class by class; the bound of
+    the class a = 1 times sum_a |chi(a)| dominates it."""
+    k = chi.modulus
+    first_omitted = abs(float(bernoulli_oracle(2 * N + 2) / math.factorial(2 * N + 2)))
+    total = 0.0
+    for a in filter(chi, range(1, k + 1)):
+        X = a + N * k
+        y = X / k
+        if r == 1:
+            bound = first_omitted / X
+            for i in range(1, 2 * N + 2):
+                bound *= i / y
+        else:
+            bound = 4.0 * y / (r + 2 * N - 1) * (1 / X**r)
+            for i in range(2 * N):
+                bound *= (r + i) / (2.0 * math.pi * y)
+        total += abs(chi(a)) * bound
+    return total
+
+
 def prop1_residual_termwise(p: int, k: int, m: int, binom=math.comb) -> CyclotomicElement:
     """The prop1 residual f(p) - (-k^p + sum_a (-1)^(p-a) C(p, a) k^a g(p-a))
     built term by term: one CyclotomicElement per sum, combined with

@@ -24,6 +24,7 @@ from helpers import (
     brute_totient,
     l_reference,
     l_reference_tail,
+    per_class_tail_bound,
     s_sum_double_loop,
 )
 
@@ -252,6 +253,26 @@ class TestLValue:
                 ref = l_reference(r, chi, n_ref)
                 allowed = lv.tail_bound + l_reference_tail(r, chi, n_ref) + 1e-12
                 assert abs(lv.value - ref) <= allowed
+
+    def test_one_bound_picks_n_and_certifies_the_tail(self):
+        # tail_bound is the bound of the class a = 1 times sum_a |chi(a)|, at
+        # the least N that brings it to target_tol, and it dominates the
+        # class-by-class sum.
+        cases = [(k, r, 2.0**-53) for k in range(1, 41) for r in range(1, 5)]
+        cases += [(k, r, 2.0**-53) for k in (191, 200) for r in (1, 2)]
+        cases += [(k, r, 1e-4) for k in range(1, 13) for r in range(1, 5)]
+        for k, r, tol in cases:
+            for chi in enumerate_characters(k):
+                if r == 1 and chi.principal:
+                    continue
+                lv = l_value(r, chi, tol)
+                N = lv.truncation_N // k
+                weight = sum(abs(chi(a)) for a in range(1, k + 1))
+                assert lv.tail_bound == weight * dirichlet._remainder_bound(r, k, N)
+                assert lv.tail_bound <= tol
+                if N > 1:
+                    assert weight * dirichlet._remainder_bound(r, k, N - 1) > tol
+                assert lv.tail_bound >= per_class_tail_bound(r, chi, N), (k, r, chi.index)
 
     @pytest.mark.parametrize("k, r, want", [
         (4, 1, math.pi / 4),

@@ -5,11 +5,13 @@ import pytest
 
 from expsums import exp_sums
 from expsums import (
+    CyclotomicElement,
     ExpSumQuery,
     Polynomial,
     PreconditionError,
     binomial,
     chain_coefficient_sum,
+    cyclo_root_power,
     enumerate_chains,
     eq3_residual_poly,
     eq4_check,
@@ -102,6 +104,20 @@ class TestCycloSum:
                     neg = exp_power_sum_cyclo(ExpSumQuery(p, k, m, -1))
                     pos = exp_power_sum_cyclo(ExpSumQuery(p, k, (k - m) % k, 1))
                     assert neg == pos
+
+    def test_equals_the_termwise_sum_of_root_powers(self):
+        # sum_{s=1}^{k-1} s^p zeta^(sign*m*s) with one reduced root power per
+        # term, for both signs and every frequency, units or not, m = 0 too.
+        for k in range(2, 25):
+            for m in range(k):
+                for sign in (-1, 1):
+                    roots = [cyclo_root_power(k, sign * m * s) for s in range(1, k)]
+                    for p in range(5):
+                        want = CyclotomicElement(k, 0)
+                        for s, root in enumerate(roots, 1):
+                            want = want + root * s**p
+                        got = exp_power_sum_cyclo(ExpSumQuery(p, k, m, sign))
+                        assert got.residue == want.residue, (k, m, sign, p)
 
 
 class TestProp1Exact:
