@@ -8,10 +8,10 @@ that coefficient of the odd-exponent halving recurrence, then insists the two
 polynomials agree in every coefficient.  ``bernoulli_table`` lists retrieved
 values and checks each against the oracle.
 
-The lower closed forms h(j, .), j < p, are retrieval's own, each built once:
-the Bernoulli-free interpolation for even j, the recurrence of the step whose
-p is j for odd j.  The closed form they are matched against takes every
-earlier retrieved B_j, so each is checked again at every later n.
+The lower closed forms h(j, .), j < p, are the recurrence's own, each built
+once, even ones by the derivative rule h(j+1, .)' = (j+1) h(j, .) (B_(j+1) = 0),
+by which each step also solves for its own h(p, .): every even B_n follows from
+h(1, .).  The form they are matched against takes every earlier retrieved B_j.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import ConsistencyError, _Record
-from .exact import Polynomial, poly_coefficient, polynomial_from_points
-from .power_sums import bernoulli_oracle, faulhaber_polynomial, h_naive, odd_recurrence_polynomial
+from .exact import Polynomial, poly_coefficient
+from .power_sums import bernoulli_oracle, faulhaber_polynomial, odd_recurrence_polynomial
 
 
 class RetrievalDetail(_Record):
@@ -38,15 +38,12 @@ class RetrievalDetail(_Record):
 
 
 @lru_cache(maxsize=None)
-def _known_even_power_sum(n: int) -> Polynomial:
-    """Closed form of h(n, .) for even n without any Bernoulli input.
-
-    Exact interpolation of the summation oracle through k = 0..n+1; this
-    plays the role of the classically known even-exponent formulas and keeps
-    the retrieval independent of the value being solved for.
-    """
-    points = [(t, Fraction(h_naive(n, t))) for t in range(n + 2)]
-    return polynomial_from_points(points, var="k")
+def _lower_form(j: int) -> Polynomial:
+    """h(j, .) from the step whose p is j (odd j) or, by the derivative rule, j+1."""
+    if j % 2:
+        return retrieve_bernoulli_detail(max(j - 1, 1)).recurrence_poly
+    upper = retrieve_bernoulli_detail(j).recurrence_poly.coeffs
+    return Polynomial([i * c for i, c in enumerate(upper)][1:], var="k") / (j + 1)
 
 
 def _retrieved(j: int) -> Fraction:
@@ -64,14 +61,21 @@ def retrieve_bernoulli_detail(n: int) -> RetrievalDetail:
                 if n >= 3 else "")
         raise ValueError(f"retrieval is defined for n = 1 and even n >= 2, got n={n}{note}")
     p = 1 if n == 1 else n + 1
-
-    # Retrieval's own lower forms; for odd j, step max(j - 1, 1) has p = j.
-    def lower(j: int) -> Polynomial:
-        if j % 2 == 0:
-            return _known_even_power_sum(j)
-        return retrieve_bernoulli_detail(max(j - 1, 1)).recurrence_poly
-
-    recurrence_poly = odd_recurrence_polynomial(p, lower)
+    if n == 1:  # the recurrence for p = 1 reads no lower form
+        recurrence_poly = odd_recurrence_polynomial(p, _lower_form)
+    else:
+        # The recurrence's last term p (k+1) h(p-1, .) is (k+1) h' by the derivative rule,
+        # so read with h(p-1, .) = 0 it gives S = h - (k+1) h'/2, that is (2-i) c_i -
+        # (i+1) c_(i+1) = 2 S_i at degree i of h = sum c_i k^i.  Solve down to i = 3; c_0 =
+        # c_1 = 0 (h(p, 0) = h'(p, 0) = 0), i = 1 gives c_2 = -S_1, and i = 2 must hold.
+        s = odd_recurrence_polynomial(p, lambda j: Polynomial() if j == p - 1 else _lower_form(j))
+        c = [0] * (len(s.coeffs) + 1)
+        for i in range(len(c) - 2, 2, -1):
+            c[i] = (2 * poly_coefficient(s, i) + (i + 1) * c[i + 1]) / (2 - i)
+        if -3 * c[3] != 2 * poly_coefficient(s, 2):
+            raise ConsistencyError(f"retrieval of B_{n}: the recurrence fails at degree 2")
+        c[2] = -poly_coefficient(s, 1)
+        recurrence_poly = Polynomial((x.numerator if x.denominator == 1 else x for x in c), "k")
     # B_n enters Faulhaber's form at this degree only; its weight there is the
     # coefficient of the form with B_n = 1 and every other B_j = 0.
     degree = p - n + 1
@@ -80,8 +84,7 @@ def retrieve_bernoulli_detail(n: int) -> RetrievalDetail:
     closed_form_poly = faulhaber_polynomial(p, lambda j: value if j == n else _retrieved(j))
     if closed_form_poly != recurrence_poly:
         raise ConsistencyError(
-            f"retrieval of B_{n}: polynomials disagree beyond the solved coefficient"
-        )
+            f"retrieval of B_{n}: polynomials disagree beyond the solved coefficient")
     return RetrievalDetail(n, p, value, degree, recurrence_poly, closed_form_poly)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from expsums import bernoulli, power_sums
+from expsums import bernoulli, exact, power_sums
 from expsums import (
     ConsistencyError,
     Polynomial,
@@ -172,14 +172,14 @@ class TestRetrieval:
         assert (d6.p, d6.compared_degree) == (7, 2)
 
     def test_detail_polynomials_fully_agree(self):
-        for n in [1, 2, 4, 6, 8, 10]:
+        # Over the whole retrievable range, both polynomials are the closed
+        # form of h(p, .) that h_polynomial builds without retrieval, and so
+        # is each even lower form, built by the derivative rule.
+        for n in [1] + list(range(2, 61, 2)):
             detail = retrieve_bernoulli_detail(n)
-            assert detail.recurrence_poly == detail.closed_form_poly
-            # Both really are the power-sum closed form of exponent p.
-            from expsums import h_naive
-
-            for k in range(detail.p + 3):
-                assert detail.recurrence_poly.evaluate(k) == h_naive(detail.p, k)
+            assert detail.recurrence_poly == detail.closed_form_poly == h_polynomial(detail.p), n
+            if n % 2 == 0:
+                assert bernoulli._lower_form(n) == h_polynomial(n), n
 
 
 class TestTable:
@@ -227,11 +227,14 @@ class TestRetrievalOwnClosedForms:
 
     def test_cold_table_builds_each_closed_form_once(self, cold_closed_forms, monkeypatch):
         # Per retrieved n (1 and the 15 even n <= 30): one recurrence and two
-        # Faulhaber forms.  Per even j <= 30: one interpolation.  No other
-        # closed form is built.
+        # Faulhaber forms.  Per j <= 29: one lower form (the step for B_30
+        # solves for its own h(31, .) and reads no h(30, .)).  No literal sum
+        # and no interpolation is run.
         calls = Counter()
-        originals = {name: getattr(bernoulli, name) for name in (
-            "odd_recurrence_polynomial", "faulhaber_polynomial", "polynomial_from_points")}
+        originals = {"odd_recurrence_polynomial": power_sums.odd_recurrence_polynomial,
+                     "faulhaber_polynomial": power_sums.faulhaber_polynomial,
+                     "h_naive": power_sums.h_naive,
+                     "polynomial_from_points": exact.polynomial_from_points}
 
         def counted(name):
             def wrapper(*args, **kwargs):
@@ -240,14 +243,17 @@ class TestRetrievalOwnClosedForms:
 
             return wrapper
 
-        for module in (power_sums, bernoulli):
+        for module in (exact, power_sums, bernoulli):
             for name in originals:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name))
         table = bernoulli_table(30)
         assert [table[n] for n in range(31)] == [bernoulli_oracle(n) for n in range(31)]
-        assert calls == Counter(odd_recurrence_polynomial=16, faulhaber_polynomial=32,
-                                polynomial_from_points=15)
+        assert calls == Counter(odd_recurrence_polynomial=16, faulhaber_polynomial=32)
+        assert bernoulli._lower_form.cache_info().misses == 29
+        for j in range(1, 30):  # the 29 forms built are those of j = 1..29
+            bernoulli._lower_form(j)
+        assert bernoulli._lower_form.cache_info().misses == 29
 
 
 class TestGatesCanFail:
@@ -279,15 +285,18 @@ class TestGatesCanFail:
     @pytest.mark.parametrize("n", [2, 4, 6, 10, 30])
     def test_perturbed_even_power_sum_breaks_retrieval(self, cold_closed_forms, monkeypatch,
                                                       n, d):
-        # A wrong closed form of h(n, .) shifts the recurrence in the solved
-        # coefficient and at least one other, so with no binomial perturbed
-        # the full-coefficient comparison must still refuse B_n.
-        original = bernoulli._known_even_power_sum
+        # A wrong earlier form shifts the recurrence with no binomial perturbed,
+        # and B_n must still be refused.  For n >= 4 the form is the even
+        # h(n-2, .); for n = 2, which reads no even form, it is h(1, .), and
+        # the solve's left-over degree-2 equation is the gate that refuses it.
+        wrong = max(n - 2, 1)
+        original = bernoulli._lower_form
 
-        def perturbed(m):
-            exact = original(m)
-            return exact + Polynomial.monomial(d, var="k") if m == n else exact
+        def perturbed(j):
+            form = original(j)
+            return form + Polynomial.monomial(d, var="k") if j == wrong else form
 
-        monkeypatch.setattr(bernoulli, "_known_even_power_sum", perturbed)
-        with pytest.raises(ConsistencyError, match=rf"^retrieval of B_{n}: "):
+        monkeypatch.setattr(bernoulli, "_lower_form", perturbed)
+        reason = "the recurrence fails at degree 2" if n == 2 else ""
+        with pytest.raises(ConsistencyError, match=rf"^retrieval of B_{n}: {reason}"):
             retrieve_bernoulli(n)

@@ -77,6 +77,7 @@ class TestPowersum:
          "--method faulhaber requires --p >= 1"),
         # Both rules broken: the --k rule is checked first.
         (["--p", "0", "--method", "faulhaber"], "--method faulhaber requires --k"),
+        (["--p", "3", "--k", "-1"], "--k must be >= 0"),
     ])
     def test_method_argument_rules(self, capsys, args, message):
         status, out, err = run(capsys, "powersum", *args)
@@ -126,6 +127,11 @@ class TestBernoulli:
         # --method there would have nothing to choose.
         status, out, err = run(capsys, "bernoulli", "--table", "3", "--method", method)
         assert (status, out, err) == (2, "", "error: --method applies to --n, not to --table\n")
+
+    @pytest.mark.parametrize("args", [[], ["--method", "oracle"]], ids=["bare", "method"])
+    def test_neither_n_nor_table_is_a_usage_error(self, capsys, args):
+        assert run(capsys, "bernoulli", *args) == (
+            2, "", "error: provide --n with --method, or --table NMAX\n")
 
     def test_oracle_is_the_default_method(self, capsys):
         status, out, _ = run(capsys, "bernoulli", "--n", "12", "--json")
@@ -313,7 +319,7 @@ class TestVerify:
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "abc"])
     @pytest.mark.parametrize("command", [
         ["verify", "prop1", "--pmax", "2", "--kmax", "4", "--float"],
         ["verify", "alkan", "--k", "5", "--r", "2"],

@@ -4,11 +4,12 @@ Each case runs ``cli.main`` in process and compares its exit status and the
 sha256 digests of its stdout and stderr with values recorded from an earlier
 build, so a change that means to keep the output keeps these passing.  The
 cases are the exact-output ``CLI_CASES``, the exact commands of the benchmark
-workloads, the compositions JSON edge cases, and the failing exact sweeps
-under each perturbed binomial patched into ``exp_sums``.  Output formatted
-from floats (characters, alkan ratios, float residuals) is left out: its last
-digits depend on the platform's libm.  The compositions cap with ``--length``
-also runs as a fresh interpreter writing to a pipe, hashed as it streams.
+workloads, the Bernoulli retrieval caps, the compositions JSON edge cases, and
+the failing exact sweeps under each perturbed binomial patched into
+``exp_sums``.  Output formatted from floats (characters, alkan ratios, float
+residuals) is left out: its last digits depend on the platform's libm.  The
+compositions cap with ``--length`` also runs as a fresh interpreter writing to
+a pipe, hashed as it streams.
 """
 
 import hashlib
@@ -62,6 +63,10 @@ CONTRACT = {
         (0, "6c9c30173fb8b8ee68efd62fbfd681bff37361489195e14732c95b46925e7118", EMPTY),
     (None, "bernoulli --table 30"):
         (0, "582100f42e1e0023bcee0548a64d4f8d72e6d16888b74bd42f9ed5e6553265b6", EMPTY),
+    (None, "bernoulli --table 60"):
+        (0, "5a11faade7f0eb4a2bd21afcfbc1ea71af6e28a6fff3d5dcd5d7a9de9f4b5568", EMPTY),
+    (None, "bernoulli --n 60 --method retrieve --json"):
+        (0, "e0e2fe72007c708c23f668e1254dce19f76f9d6774c43e22399673ddd302c5fc", EMPTY),
     (None, "bernoulli --n 500 --method oracle"):
         (0, "02d82c462ec3d97c23b1b54354af1397dfbab408492d90b6c978f0e97d366586", EMPTY),
     (None, "powersum --p 64 --method poly"):
