@@ -12,18 +12,22 @@ The lower closed forms h(j, .), j < p, are the recurrence's own, each built
 once, even ones by the derivative rule h(j+1, .)' = (j+1) h(j, .) (B_(j+1) = 0),
 by which each step also solves for its own h(p, .): every even B_n follows from
 h(1, .).  The form they are matched against takes every earlier retrieved B_j.
+The recurrence's Horner steps, the solve and the derivative run on integer
+numerators over one denominator; each coefficient is reduced once, at the end.
 """
 
 from __future__ import annotations
 
+import math
 import types
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
+from . import power_sums
 from .errors import ConsistencyError, _Record
-from .exact import Polynomial, poly_coefficient
-from .power_sums import bernoulli_oracle, faulhaber_polynomial, odd_recurrence_polynomial
+from .exact import Polynomial, _integer_numerators, _ratio, poly_coefficient
+from .power_sums import _odd_recurrence, bernoulli_oracle, faulhaber_polynomial
 
 
 class RetrievalDetail(_Record):
@@ -42,8 +46,8 @@ def _lower_form(j: int) -> Polynomial:
     """h(j, .) from the step whose p is j (odd j) or, by the derivative rule, j+1."""
     if j % 2:
         return retrieve_bernoulli_detail(max(j - 1, 1)).recurrence_poly
-    upper = retrieve_bernoulli_detail(j).recurrence_poly.coeffs
-    return Polynomial([i * c for i, c in enumerate(upper)][1:], var="k") / (j + 1)
+    nums, den = _integer_numerators(retrieve_bernoulli_detail(j).recurrence_poly.coeffs)
+    return Polynomial((_ratio(i * c, den * (j + 1)) for i, c in enumerate(nums) if i), var="k")
 
 
 def _retrieved(j: int) -> Fraction:
@@ -61,25 +65,28 @@ def retrieve_bernoulli_detail(n: int) -> RetrievalDetail:
                 if n >= 3 else "")
         raise ValueError(f"retrieval is defined for n = 1 and even n >= 2, got n={n}{note}")
     p = 1 if n == 1 else n + 1
-    if n == 1:  # the recurrence for p = 1 reads no lower form
-        recurrence_poly = odd_recurrence_polynomial(p, _lower_form)
-    else:
+    # S has s[i] / den at degree i; for p = 1 the recurrence reads no lower form and S is h.
+    s, den = _odd_recurrence(p, lambda j: Polynomial() if j == p - 1 else _lower_form(j))
+    c, f = s, 1
+    if n > 1:
         # The recurrence's last term p (k+1) h(p-1, .) is (k+1) h' by the derivative rule,
         # so read with h(p-1, .) = 0 it gives S = h - (k+1) h'/2, that is (2-i) c_i -
         # (i+1) c_(i+1) = 2 S_i at degree i of h = sum c_i k^i.  Solve down to i = 3; c_0 =
         # c_1 = 0 (h(p, 0) = h'(p, 0) = 0), i = 1 gives c_2 = -S_1, and i = 2 must hold.
-        s = odd_recurrence_polynomial(p, lambda j: Polynomial() if j == p - 1 else _lower_form(j))
-        c = [0] * (len(s.coeffs) + 1)
-        for i in range(len(c) - 2, 2, -1):
-            c[i] = (2 * poly_coefficient(s, i) + (i + 1) * c[i + 1]) / (2 - i)
-        if -3 * c[3] != 2 * poly_coefficient(s, 2):
+        # Each c_i is c[i] / (den f), f = (t-2)! for the top degree t of S: c[i+1] is then a
+        # multiple of (i-2)! and f of i - 2, so each division by i - 2 is exact.
+        f = math.factorial(len(s) - 3)
+        c = [0] * (len(s) + 1)
+        for i in range(len(s) - 1, 2, -1):
+            c[i] = -(2 * s[i] * f + (i + 1) * c[i + 1]) // (i - 2)
+        if -3 * c[3] != 2 * s[2] * f:
             raise ConsistencyError(f"retrieval of B_{n}: the recurrence fails at degree 2")
-        c[2] = -poly_coefficient(s, 1)
-        recurrence_poly = Polynomial((x.numerator if x.denominator == 1 else x for x in c), "k")
-    # B_n enters Faulhaber's form at this degree only; its weight there is the
-    # coefficient of the form with B_n = 1 and every other B_j = 0.
+        c[2] = -s[1] * f
+    recurrence_poly = Polynomial((_ratio(x, den * f) for x in c), var="k")
+    # B_n enters Faulhaber's form at this degree only, with weight (-1)^n C(p+1, n)/(p+1);
+    # the binomial is read through power_sums, like those of both closed forms.
     degree = p - n + 1
-    weight = poly_coefficient(faulhaber_polynomial(p, lambda j: int(j == n)), degree)
+    weight = Fraction((-1) ** n * power_sums.binomial(p + 1, n), p + 1)
     value = poly_coefficient(recurrence_poly, degree) / weight
     closed_form_poly = faulhaber_polynomial(p, lambda j: value if j == n else _retrieved(j))
     if closed_form_poly != recurrence_poly:

@@ -5,8 +5,10 @@ The evaluators are a literal summation oracle, an odd-exponent halving
 recurrence (h appears on both sides of a binomial reflection and survives
 with factor 2 only when p is odd), the Bernoulli-number closed form, and
 symbolic closed-form polynomials in k.  All agree exactly; h(p, 0) = 0 and
-0^0 = 1 by convention.  The recurrence runs Horner's scheme in (k+1);
-``h_polynomial`` memoises one closed form per exponent.
+0^0 = 1 by convention.  The recurrence runs Horner's scheme in (k+1) on
+integer numerators over one denominator, as shift-adds, and reduces each
+output coefficient once; closed forms are evaluated the same way, with one
+division at the end.  ``h_polynomial`` memoises one closed form per exponent.
 
 ``bernoulli_oracle`` reads even-index B_n off the tangent number T_(n/2),
 B_n = (-1)^(n/2-1) n T_(n/2) / (2^n (2^n - 1)), and grows the tangent
@@ -23,12 +25,14 @@ retrieval in ``bernoulli`` checks it a second way.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable
 
 from .errors import ConsistencyError, ParityError
-from .exact import Polynomial, binomial
+from .exact import Polynomial, _integer_numerators, _ratio, binomial
 
 
 @lru_cache(maxsize=None)
@@ -80,14 +84,37 @@ def faulhaber_polynomial(p: int, bern: Callable[[int], Fraction]) -> Polynomial:
 
         (1/(p+1)) * (k^(p+1) + sum_{j=1}^{p} (-1)^j C(p+1, j) B_j k^(p-j+1))
 
-    under the B_1 = -1/2 sign convention, filled into one coefficient list.
+    under the B_1 = -1/2 sign convention, filled into one coefficient list
+    and divided by p+1 on its integer numerators.
     """
     if p < 1:
         raise ValueError(f"faulhaber_polynomial requires p >= 1, got {p}")
     coeffs = [0] * (p + 1) + [1]
     for j in range(1, p + 1):
         coeffs[p - j + 1] = (-1) ** j * binomial(p + 1, j) * bern(j)
-    return Polynomial(coeffs, var="k") / (p + 1)
+    nums, den = _integer_numerators(coeffs)
+    return Polynomial((_ratio(c, den * (p + 1)) for c in nums), var="k")
+
+
+def _odd_recurrence(p: int, lower: Callable[[int], Polynomial]) -> tuple[list[int], int]:
+    """The closed form of ``odd_recurrence_polynomial`` as (nums, den): the
+    coefficient of k^i is nums[i] / den, nothing reduced.
+
+    Each lower form is cleared to integer numerators once and scaled to the
+    lcm D of their denominators, so acc, over D, takes each Horner step as
+    integer shift-adds; den is 2D.  A lower form of higher degree than acc
+    pads it.
+    """
+    if p < 1 or p % 2 == 0:
+        raise ParityError(f"the halving recurrence needs odd p >= 1, got {p}")
+    forms = [_integer_numerators(lower(j).coeffs) for j in range(1, p)]
+    den = math.lcm(*[d for _, d in forms])
+    acc = [0, den]
+    for j, (nums, d) in enumerate(forms, 1):
+        scale = (-1) ** j * binomial(p, j) * (den // d)
+        acc = [a + b + scale * c
+               for a, b, c in zip_longest((0, *acc), (*acc, 0), nums, fillvalue=0)]
+    return [a + b for a, b in zip((0, *acc), (*acc, 0))], 2 * den
 
 
 def odd_recurrence_polynomial(p: int, lower: Callable[[int], Polynomial]) -> Polynomial:
@@ -98,13 +125,8 @@ def odd_recurrence_polynomial(p: int, lower: Callable[[int], Polynomial]) -> Pol
     in Horner form: acc = k, then acc <- acc (k+1) + (-1)^j C(p, j) h(j, .)
     for j = 1..p-1 in turn, and the result is acc (k+1) / 2.
     """
-    if p < 1 or p % 2 == 0:
-        raise ParityError(f"the halving recurrence needs odd p >= 1, got {p}")
-    kp1 = Polynomial((1, 1), var="k")
-    acc = Polynomial((0, 1), var="k")
-    for j in range(1, p):
-        acc = acc * kp1 + lower(j) * ((-1) ** j * binomial(p, j))
-    return acc * kp1 / 2
+    nums, den = _odd_recurrence(p, lower)
+    return Polynomial((_ratio(c, den) for c in nums), var="k")
 
 
 @lru_cache(maxsize=None)
@@ -123,11 +145,17 @@ def h_polynomial(p: int) -> Polynomial:
 
 
 def _integral_value(poly: Polynomial, p: int, k: int) -> int:
-    """poly(k) as the power sum h(p, k); a non-integer value is a fault."""
-    value = Fraction(poly.evaluate(k))
-    if value.denominator != 1:
-        raise ConsistencyError(f"closed form gave non-integer h({p},{k}) = {value}")
-    return value.numerator
+    """poly(k) as the power sum h(p, k), by Horner's scheme on the integer
+    numerators over the form's one denominator; a non-integer value is a fault."""
+    nums, den = _integer_numerators(poly.coeffs)
+    total = 0
+    for c in reversed(nums):
+        total = total * k + c
+    value, rem = divmod(total, den)
+    if rem:
+        raise ConsistencyError(
+            f"closed form gave non-integer h({p},{k}) = {Fraction(total, den)}")
+    return value
 
 
 def h_faulhaber(p: int, k: int) -> Fraction:

@@ -18,8 +18,9 @@ from itertools import repeat
 from pathlib import Path
 
 import expsums
-from expsums import CyclotomicElement, Polynomial, bernoulli_oracle
+from expsums import CyclotomicElement, Polynomial, RetrievalDetail, bernoulli_oracle
 from expsums.compositions import enumerate_chains
+from expsums.errors import ConsistencyError
 
 
 def pascal_binomial(n: int, r: int) -> int:
@@ -113,6 +114,75 @@ def von_staudt_clausen_denominator(n: int) -> int:
     (p - 1) | n (von Staudt-Clausen), by trial division."""
     return math.prod(p for p in range(2, n + 2)
                      if n % (p - 1) == 0 and all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+
+def fraction_faulhaber(p: int, bern) -> Polynomial:
+    """Faulhaber's closed form of h(p, .) as a Polynomial divided by p+1."""
+    coeffs = [0] * (p + 1) + [1]
+    for j in range(1, p + 1):
+        coeffs[p - j + 1] = (-1) ** j * math.comb(p + 1, j) * bern(j)
+    return Polynomial(coeffs, var="k") / (p + 1)
+
+
+def fraction_odd_recurrence(p: int, lower) -> Polynomial:
+    """The odd recurrence's closed form of h(p, .) by Horner's scheme on
+    Polynomial values: acc <- acc (k+1) + (-1)^j C(p, j) lower(j), then
+    acc (k+1) / 2, each step a Polynomial product and sum."""
+    kp1 = Polynomial((1, 1), var="k")
+    acc = Polynomial((0, 1), var="k")
+    for j in range(1, p):
+        acc = acc * kp1 + lower(j) * ((-1) ** j * math.comb(p, j))
+    return acc * kp1 / 2
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_h_polynomial(p: int) -> Polynomial:
+    """h(p, .) from ``fraction_faulhaber`` (even p) and
+    ``fraction_odd_recurrence`` (odd p)."""
+    if p % 2 == 0:
+        return fraction_faulhaber(p, bernoulli_oracle)
+    return fraction_odd_recurrence(p, fraction_h_polynomial)
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction_lower_form(j: int) -> Polynomial:
+    if j % 2:
+        return fraction_retrieval_detail(max(j - 1, 1)).recurrence_poly
+    upper = fraction_retrieval_detail(j).recurrence_poly.coeffs
+    return Polynomial([i * c for i, c in enumerate(upper)][1:], var="k") / (j + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_retrieval_detail(n: int) -> RetrievalDetail:
+    """Retrieval of B_n (n = 1 or even) on Fraction coefficients: the recurrence
+    read with h(p-1, .) = 0 gives S = h - (k+1) h'/2, solved top-down by
+    (2-i) c_i - (i+1) c_(i+1) = 2 S_i in Fraction division, with c_2 = -S_1; B_n
+    is read off Faulhaber's form at degree p-n+1 through that form's weight,
+    and the form with every retrieved B_j must equal the solved one."""
+    p = 1 if n == 1 else n + 1
+    if n == 1:
+        recurrence_poly = fraction_odd_recurrence(p, None)
+    else:
+        s = fraction_odd_recurrence(
+            p, lambda j: Polynomial() if j == p - 1 else _fraction_lower_form(j))
+        c = [0] * (len(s.coeffs) + 1)
+        for i in range(len(c) - 2, 2, -1):
+            c[i] = (2 * Fraction(s.coefficient(i)) + (i + 1) * c[i + 1]) / (2 - i)
+        if -3 * c[3] != 2 * s.coefficient(2):
+            raise ConsistencyError(f"retrieval of B_{n}: the recurrence fails at degree 2")
+        c[2] = -Fraction(s.coefficient(1))
+        recurrence_poly = Polynomial((x.numerator if x.denominator == 1 else x for x in c), "k")
+    degree = p - n + 1
+    weight = Fraction(fraction_faulhaber(p, lambda j: int(j == n)).coefficient(degree))
+    value = Fraction(recurrence_poly.coefficient(degree)) / weight
+
+    def retrieved(j):
+        return value if j == n else (0 if j % 2 and j > 1 else fraction_retrieval_detail(j).value)
+
+    closed_form_poly = fraction_faulhaber(p, retrieved)
+    if closed_form_poly != recurrence_poly:
+        raise ConsistencyError(f"retrieval of B_{n}: polynomials disagree")
+    return RetrievalDetail(n, p, value, degree, recurrence_poly, closed_form_poly)
 
 
 def brute_totient(k: int) -> int:

@@ -19,6 +19,7 @@ from expsums import (
 from helpers import (
     PERTURBED_BINOMIALS,
     akiyama_tanigawa_bernoulli,
+    fraction_retrieval_detail,
     seidel_zigzag,
     von_staudt_clausen_denominator,
 )
@@ -182,6 +183,13 @@ class TestRetrieval:
                 assert bernoulli._lower_form(n) == h_polynomial(n), n
 
 
+    def test_detail_equals_the_fraction_solve_bit_for_bit(self, cold_closed_forms):
+        # Value and both polynomials as the solve on Fraction coefficients
+        # gives them, down to each coefficient's int or Fraction type.
+        for n in [1] + list(range(2, 61, 2)):
+            assert repr(retrieve_bernoulli_detail(n)) == repr(fraction_retrieval_detail(n)), n
+
+
 class TestTable:
     def test_minimal(self):
         assert dict(bernoulli_table(0).values) == {0: Fraction(1)}
@@ -226,15 +234,20 @@ class TestRetrievalOwnClosedForms:
         assert values == {n: bernoulli_oracle(n) for n in indices}
 
     def test_cold_table_builds_each_closed_form_once(self, cold_closed_forms, monkeypatch):
-        # Per retrieved n (1 and the 15 even n <= 30): one recurrence and two
-        # Faulhaber forms.  Per j <= 29: one lower form (the step for B_30
-        # solves for its own h(31, .) and reads no h(30, .)).  No literal sum
-        # and no interpolation is run.
+        # Per retrieved n (1 and the 15 even n <= 30): one recurrence, run on
+        # integer numerators, and one Faulhaber form to match it against (the
+        # weight of B_n is read off C(p+1, n), not off a second form).  Per
+        # j <= 29: one lower form (the step for B_30 solves for its own
+        # h(31, .) and reads no h(30, .)).  No literal sum, no interpolation,
+        # and no Polynomial product: the Horner steps, the solve, the
+        # derivative rule and the division by p+1 all stay on integers.
         calls = Counter()
-        originals = {"odd_recurrence_polynomial": power_sums.odd_recurrence_polynomial,
+        originals = {"_odd_recurrence": power_sums._odd_recurrence,
+                     "odd_recurrence_polynomial": power_sums.odd_recurrence_polynomial,
                      "faulhaber_polynomial": power_sums.faulhaber_polynomial,
                      "h_naive": power_sums.h_naive,
-                     "polynomial_from_points": exact.polynomial_from_points}
+                     "polynomial_from_points": exact.polynomial_from_points,
+                     "Polynomial.__mul__": Polynomial.__mul__}
 
         def counted(name):
             def wrapper(*args, **kwargs):
@@ -247,9 +260,12 @@ class TestRetrievalOwnClosedForms:
             for name in originals:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name))
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(Polynomial, name, counted("Polynomial.__mul__"))
         table = bernoulli_table(30)
         assert [table[n] for n in range(31)] == [bernoulli_oracle(n) for n in range(31)]
-        assert calls == Counter(odd_recurrence_polynomial=16, faulhaber_polynomial=32)
+        assert calls == Counter(_odd_recurrence=16, faulhaber_polynomial=16)
+        assert calls["Polynomial.__mul__"] == calls["odd_recurrence_polynomial"] == 0
         assert bernoulli._lower_form.cache_info().misses == 29
         for j in range(1, 30):  # the 29 forms built are those of j = 1..29
             bernoulli._lower_form(j)

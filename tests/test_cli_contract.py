@@ -4,9 +4,9 @@ Each case runs ``cli.main`` in process and compares its exit status and the
 sha256 digests of its stdout and stderr with values recorded from an earlier
 build, so a change that means to keep the output keeps these passing.  The
 cases are the exact-output ``CLI_CASES``, the exact commands of the benchmark
-workloads, the Bernoulli retrieval caps, the compositions JSON edge cases, and
-the failing exact sweeps under each perturbed binomial patched into
-``exp_sums``.  Output formatted from floats (characters, alkan ratios, float
+workloads, the Bernoulli retrieval caps, the odd-exponent closed form at
+p = 63, the compositions JSON edge cases, and the failing exact sweeps under
+each perturbed binomial patched into ``exp_sums``.  Output formatted from floats (characters, alkan ratios, float
 residuals) is left out: its last digits depend on the platform's libm.  The
 compositions cap with ``--length`` also runs as a fresh interpreter writing to
 a pipe, hashed as it streams.
@@ -71,6 +71,10 @@ CONTRACT = {
         (0, "02d82c462ec3d97c23b1b54354af1397dfbab408492d90b6c978f0e97d366586", EMPTY),
     (None, "powersum --p 64 --method poly"):
         (0, "9ed36a5c42da5e4d1f2ec81fc7d5da0bb8914b9b6fff30c3c4be74e55c99a1f5", EMPTY),
+    (None, "powersum --p 63 --method poly"):
+        (0, "79c20ade543643d08d32673932dc5e8a2bee31cc7e299a9b743b36ddd33f525a", EMPTY),
+    (None, "powersum --p 63 --method poly --json"):
+        (0, "4e4963800199187bdae1b8d9ac08ea9a8ff0f3d66ba6c54397c8ff13c6c8255b", EMPTY),
     (None, "compositions --n 18"):
         (0, "4f1a9348422e8a59e8ec85137c9000a5d02e50170948b808e1fa0bc7e4a5a8ba", EMPTY),
     (None, "compositions --n 18 --json"):

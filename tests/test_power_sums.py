@@ -16,7 +16,12 @@ from expsums import (
     h_polynomial,
     h_recurrence,
 )
-from helpers import PERTURBED_BINOMIALS, b2_off_by_a_third, schoolbook_product
+from helpers import (
+    PERTURBED_BINOMIALS,
+    b2_off_by_a_third,
+    fraction_h_polynomial,
+    schoolbook_product,
+)
 
 
 def _k(coeffs):
@@ -60,7 +65,8 @@ class TestRecurrence:
                 assert h_recurrence(p, k) == h_naive(p, k)
 
     def test_polynomial_is_the_termwise_linear_map(self):
-        # Any lower forms, not only the true ones: the Horner form must equal
+        # Any lower forms, not only the true ones, and of degree up to j+4,
+        # above the accumulator's j+1 at their step: the Horner form must equal
         # (1/2)((k+1)^p k + sum_j (-1)^j C(p, j) (k+1)^(p-j) lower(j)) term by
         # term, with the powers of (k+1) built by schoolbook products, and it
         # must ask for lower(1..p-1) in ascending order.
@@ -68,7 +74,7 @@ class TestRecurrence:
         kp1 = _k([1, 1])
         for p in range(1, 22, 2):
             lower = {j: _k([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                            for _ in range(rng.randint(0, j + 2))])
+                            for _ in range(rng.randint(0, j + 5))])
                      for j in range(1, p)}
             powers = [_k([1])]
             for _ in range(p):
@@ -132,6 +138,12 @@ class TestPolynomialForms:
             assert poly.coefficient(p + 1) == Fraction(1, p + 1)
             assert poly.coefficient(0) == 0
 
+    def test_odd_forms_equal_the_fraction_recurrence_bit_for_bit(self, cold_closed_forms):
+        # The same coefficients, each of the same int or Fraction type, as
+        # Horner's scheme on Polynomial values.
+        for p in range(1, 64, 2):
+            assert repr(h_polynomial(p)) == repr(fraction_h_polynomial(p)), p
+
     def test_evaluation_matches_naive(self):
         for p in range(1, 10):
             for k in range(12):
@@ -168,6 +180,17 @@ class TestGatesCanFail:
         with pytest.raises(ConsistencyError,
                            match=r"^closed form gave non-integer h\(2,1\) = 4/3$"):
             h_faulhaber(2, 1)
+
+    def test_closed_form_off_by_half_k_is_refused(self, cold_closed_forms, monkeypatch):
+        # h(2, .) + k/2 is an integer at even k only; at k = 3 the integer
+        # Horner's final division must leave a remainder and refuse it.
+        original = power_sums.h_polynomial
+        monkeypatch.setattr(power_sums, "h_polynomial",
+                            lambda p: original(p) + _k([0, Fraction(1, 2)]) if p == 2
+                            else original(p))
+        with pytest.raises(ConsistencyError,
+                           match=r"^closed form gave non-integer h\(2,3\) = 31/2$"):
+            h_recurrence(3, 3)
 
 
 class TestEq4Check:
