@@ -12,8 +12,9 @@ The lower closed forms h(j, .), j < p, are the recurrence's own, each built
 once, even ones by the derivative rule h(j+1, .)' = (j+1) h(j, .) (B_(j+1) = 0),
 by which each step also solves for its own h(p, .): every even B_n follows from
 h(1, .).  The form they are matched against takes every earlier retrieved B_j.
-The recurrence's Horner steps, the solve and the derivative run on integer
-numerators over one denominator; each coefficient is reduced once, at the end.
+Each lower form is kept as integer numerators over one denominator, cleared
+once; the recurrence's Horner steps, the solve and the derivative run on them,
+and each coefficient is reduced once, at the end.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ class RetrievalDetail(_Record):
 
 
 @lru_cache(maxsize=None)
-def _lower_form(j: int) -> Polynomial:
-    """h(j, .) from the step whose p is j (odd j) or, by the derivative rule, j+1."""
+def _lower_form(j: int) -> tuple[list[int], int]:
+    """h(j, .) as integer numerators over one denominator, cleared once: from
+    the step whose p is j (odd j) or, by the derivative rule, from h(j+1, .)."""
     if j % 2:
-        return retrieve_bernoulli_detail(max(j - 1, 1)).recurrence_poly
-    nums, den = _integer_numerators(retrieve_bernoulli_detail(j).recurrence_poly.coeffs)
-    return Polynomial((_ratio(i * c, den * (j + 1)) for i, c in enumerate(nums) if i), var="k")
+        return _integer_numerators(retrieve_bernoulli_detail(max(j - 1, 1)).recurrence_poly.coeffs)
+    nums, den = _lower_form(j + 1)
+    return [i * c for i, c in enumerate(nums) if i], den * (j + 1)
 
 
 def _retrieved(j: int) -> Fraction:
@@ -66,7 +68,7 @@ def retrieve_bernoulli_detail(n: int) -> RetrievalDetail:
         raise ValueError(f"retrieval is defined for n = 1 and even n >= 2, got n={n}{note}")
     p = 1 if n == 1 else n + 1
     # S has s[i] / den at degree i; for p = 1 the recurrence reads no lower form and S is h.
-    s, den = _odd_recurrence(p, lambda j: Polynomial() if j == p - 1 else _lower_form(j))
+    s, den = _odd_recurrence(p, lambda j: ([], 1) if j == p - 1 else _lower_form(j))
     c, f = s, 1
     if n > 1:
         # The recurrence's last term p (k+1) h(p-1, .) is (k+1) h' by the derivative rule,

@@ -5,15 +5,15 @@ Subcommands: powersum, bernoulli, compositions, characters, verify
 exit status is 0 on success or PASS, 1 when a verification records a FAIL
 or an internal self-check fires (one "error:" line on stderr), 2 on usage
 errors.  Exact values print as rationals ("a/b"); the character
-and L-series subcommands print 12 significant digits.  ``compositions``
-writes its rows as it enumerates them.  When the reader closes stdout early
-(``| head``), the run stops with exit status 1 and no traceback.
+and L-series subcommands print 12 significant digits.  ``compositions`` and
+``characters`` write their rows as they enumerate them.  When the reader
+closes stdout early (``| head``), the run stops with exit status 1 and no
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -172,14 +172,23 @@ def _cmd_compositions(args) -> int:
 
 
 def _cmd_characters(args) -> int:
-    from .dirichlet import enumerate_characters
+    from .dirichlet import _characters, _phase_units
 
     _cap(args.k, 1000, "--k")
-    chars = enumerate_characters(args.k)
-    # The values are drawn from one table of roots of unity and 0j, so few
-    # are distinct.  Equal complex values format alike here: no value has a
-    # negative zero part, the one case where equal floats print differently.
-    fmt = functools.lru_cache(maxsize=None)(_fmt_complex)
+    # Every value is 0j or an L-th root of unity, read off its phase, so
+    # each root is formatted once and a row's strings are placed by phase.
+    # Characters are written as the walk yields them, so no more than one
+    # row is alive.
+    units, roots = _phase_units(args.k)
+    texts = list(map(_fmt_complex, roots))
+    blank = [_fmt_complex(0j)] * args.k
+
+    def row(phase: list[int]) -> list[str]:
+        strings = blank.copy()
+        for u, t in zip(units, phase):
+            strings[u] = texts[t]
+        return strings
+
     if args.json:
         import json
 
@@ -187,25 +196,25 @@ def _cmd_characters(args) -> int:
         # bytes equal one json.dumps of the whole list without building it.
         out = sys.stdout
         out.write("[")
-        for i, c in enumerate(chars):
-            out.write((", " if i else "") + json.dumps({
+        for c, phase in _characters(args.k):
+            out.write((", " if c.index else "") + json.dumps({
                 "conductor": c.conductor,
                 "index": c.index,
                 "modulus": c.modulus,
                 "parity": c.parity,
                 "primitive": c.primitive,
                 "principal": c.principal,
-                "values": [fmt(v) for v in c.values],
+                "values": row(phase),
             }, sort_keys=True))
         out.write("]\n")
     else:
-        print(f"{len(chars)} characters mod {args.k}")
-        for c in chars:
+        print(f"{len(units)} characters mod {args.k}")
+        for c, phase in _characters(args.k):
             flags = [c.parity, "principal" if c.principal else "non-principal",
                      f"conductor {c.conductor}",
                      "primitive" if c.primitive else "imprimitive"]
             print(f"chi_{c.index}: " + ", ".join(flags))
-            print("  values: " + ", ".join(map(fmt, c.values)))
+            print("  values: " + ", ".join(row(phase)))
     return 0
 
 

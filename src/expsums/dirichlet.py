@@ -7,15 +7,20 @@ Characters are stored as explicit value tables (complex doubles, zero off the
 units); the unit group is decomposed into cyclic components so enumeration is
 deterministic.  Every root of unity is read from one table per order n,
 ``cmath.rect(1, 2 pi t/n)``: a character value at the integer phase
-t mod lcm(component orders), a Gauss-sum root at t = m*j mod k.  Each table
-is computed once per orbit: a character's phases are its exponent prefix's
-phases plus one column, one add per unit, and a character's Gauss sums
-G(j, chi), j = 1..k, are one direct sum G(d, chi) per divisor d of k, every
-j = u*d with u a unit read off as conj chi(u) G(d, chi).  L(r, chi)
-is summed by Euler-Maclaurin per residue class mod k, with weights from
-``bernoulli_oracle``.  Exactness lives elsewhere in the package; this module
-is double precision by design, with rigorous remainder bounds where series
-are cut and first-order bounds on rounding.
+t mod L = lcm(component orders), a Gauss-sum root at t = m*j mod k.  Each
+table is computed once per orbit: one walk, ``_characters``, yields every
+character with its phases over the units, each its exponent prefix's phases
+plus one column, one add per unit, and reads its values off them; the CLI
+formats one string per phase and places each row's strings by phase.  A
+character's Gauss sums G(j, chi), j = 1..k, are one direct sum G(d, chi) per
+divisor d of k, every j = u*d with u a unit read off as conj chi(u) G(d, chi),
+and its moments S(m, chi) weigh them by one tuple of
+(j/k)^m per (k, m).  L(r, chi) is summed by Euler-Maclaurin per residue class
+mod k, with weights from ``bernoulli_oracle``; each class's sum depends only
+on (r, k, N), so one table per (r, k, N) serves every character.  Exactness
+lives elsewhere in the package; this module is double precision by design,
+with rigorous remainder bounds where series are cut and first-order bounds on
+rounding.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import itertools
 import math
 import types
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .errors import ConsistencyError, DivergenceError, _Record
 from .exact import _factorize, binomial
@@ -164,24 +169,32 @@ def _phase_tables(columns: list[tuple[int, list[int]]], order_lcm: int, size: in
     return walk((), [0] * size)
 
 
-def enumerate_characters(k: int) -> list[DirichletCharacter]:
-    """All characters mod k, ordered by generator exponent tuple (principal
-    first); the count equals the number of units.
+def _phase_units(k: int) -> tuple[list[int], tuple[complex, ...]]:
+    """The units mod k in the order of every phase table, and the value of
+    each phase t: e^(2 pi i t/L), L = lcm(component orders)."""
+    st = unit_group_structure(k)
+    return list(st.dlog), _roots(math.lcm(*st.orders))
+
+
+def _characters(k: int) -> Iterator[tuple[DirichletCharacter, list[int]]]:
+    """Each character mod k, in the order of ``enumerate_characters``, with
+    its phases: with (units, roots) = ``_phase_units(k)``, its value at
+    units[i] is roots[phase[i]], and it is zero off the units.  The phase
+    lists are the walk's own, and one may serve several characters: read
+    them only.
 
     With L = lcm(orders), the character with exponents t sends the unit with
     discrete logs v to e^(2 pi i n/L), n = sum_i t_i v_i L/o_i mod L.  Its
     conductor is the least d | k such that every unit u = 1 mod d has n = 0.
     """
     st = unit_group_structure(k)
-    order_lcm = math.lcm(*st.orders)
-    roots = _roots(order_lcm)
-    units = list(st.dlog)
+    units, roots = _phase_units(k)
+    order_lcm = len(roots)
     columns = [(o, [order_lcm // o * logs[i] for logs in st.dlog.values()])
                for i, o in enumerate(st.orders)]
     kernels = [(d, [i for i, u in enumerate(units) if u % d == 1 % d])
                for d in range(1, k + 1) if k % d == 0]
     minus_one = units.index((k - 1) % k)
-    chars = []
     for index, (exps, phase) in enumerate(_phase_tables(columns, order_lcm, len(units))):
         parity_phase = phase[minus_one]
         if 2 * parity_phase % order_lcm:
@@ -191,19 +204,23 @@ def enumerate_characters(k: int) -> list[DirichletCharacter]:
         values = [0j] * k
         for u, n in zip(units, phase):
             values[u] = roots[n]
-        chars.append(
-            DirichletCharacter(
-                modulus=k,
-                index=index,
-                exponents=exps,
-                values=tuple(values),
-                parity="odd" if parity_phase else "even",
-                principal=all(t == 0 for t in exps),
-                conductor=conductor,
-                primitive=conductor == k,
-            )
+        chi = DirichletCharacter(
+            modulus=k,
+            index=index,
+            exponents=exps,
+            values=tuple(values),
+            parity="odd" if parity_phase else "even",
+            principal=all(t == 0 for t in exps),
+            conductor=conductor,
+            primitive=conductor == k,
         )
-    return chars
+        yield chi, phase
+
+
+def enumerate_characters(k: int) -> list[DirichletCharacter]:
+    """All characters mod k, ordered by generator exponent tuple (principal
+    first); the count equals the number of units."""
+    return [chi for chi, _ in _characters(k)]
 
 
 def gauss_sum(j: int, chi: DirichletCharacter) -> complex:
@@ -236,11 +253,16 @@ def s_sum(m: int, chi: DirichletCharacter) -> complex:
     """S(m, chi) = sum_{j=1}^{k} (j/k)^m G(j, chi), the j = k term included."""
     if m < 0:
         raise ValueError(f"moment m must be >= 0, got {m}")
-    k = chi.modulus
     total = 0j
-    for j, g in enumerate(_gauss_sums(chi), 1):
-        total += (j / k) ** m * g
+    for w, g in zip(_moment_weights(chi.modulus, m), _gauss_sums(chi)):
+        total += w * g
     return total
+
+
+@lru_cache(maxsize=64)
+def _moment_weights(k: int, m: int) -> tuple[float, ...]:
+    # (j/k)^m for j = 1..k, shared by every character mod k.
+    return tuple((j / k) ** m for j in range(1, k + 1))
 
 
 class LSeriesValue(_Record):
@@ -284,6 +306,31 @@ def _remainder_bound(r: int, k: int, N: int) -> float:
     return bound
 
 
+@lru_cache(maxsize=64)
+def _class_table(r: int, k: int, N: int) -> tuple[tuple[float, float], ...]:
+    """For each unit class a = 1..k, (its sum, its magnitude): the direct sum
+    of 1/n^r over its first N terms plus its corrections, as in ``l_value``,
+    and the same sum of absolute values.  Neither depends on the character."""
+    weights = [_bernoulli_weight(j) for j in range(1, N + 1)]
+    table = []
+    for a in range(1, k + 1):
+        if math.gcd(a, k) != 1:
+            continue
+        X = a + N * k
+        y = X / k
+        direct = 0.0
+        for n in range(a, X, k):
+            direct += 1 / n**r
+        x_r = 1 / X**r
+        terms = [-math.log1p(a / (N * k)) / k if r == 1 else x_r * y / (r - 1), 0.5 * x_r]
+        rising = r / y  # (r)_(2j-1) y^(1-2j)
+        for j, w in enumerate(weights, 1):
+            terms.append(w * rising * x_r)
+            rising *= (r + 2 * j - 1) * (r + 2 * j) / (y * y)
+        table.append((direct + sum(terms), direct + sum(abs(t) for t in terms)))
+    return tuple(table)
+
+
 def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
     """L(r, chi) = sum_{n>=1} chi(n)/n^r by Euler-Maclaurin summation over
     the residue classes a = 1..k:
@@ -303,7 +350,9 @@ def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
     for which tail_bound <= target_tol; truncation_N = N k: every n <= N k is
     summed directly.
     rounding_bound bounds the floating error to first order in the unit
-    roundoff, from the magnitudes of the summed terms.
+    roundoff, from the magnitudes of the summed terms.  Neither a class's sum
+    nor its magnitude depends on the character, so both are read from
+    ``_class_table(r, k, N)``, shared by every character with the same N.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -312,32 +361,22 @@ def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
     k = chi.modulus
     if r == 1 and chi.principal:
         raise DivergenceError("L(1, chi) diverges for the principal character")
-    classes = [(a, chi.values[a % k]) for a in range(1, k + 1) if chi.values[a % k] != 0]
-    weight = sum(abs(v) for _, v in classes)
+    # chi(a) for a = 1..k, off the zeros: one value per unit class, in the
+    # order of the class table.
+    unit_values = [v for v in chi.values[1:] + chi.values[:1] if v != 0]
+    weight = sum(abs(v) for v in unit_values)
     N = 1
     while (tail_bound := weight * _remainder_bound(r, k, N)) > target_tol:
         N += 1
-    weights = [_bernoulli_weight(j) for j in range(1, N + 1)]
     value = 0j
     scale = 0.0
-    for a, v in classes:
-        X = a + N * k
-        y = X / k
-        direct = 0.0
-        for n in range(a, X, k):
-            direct += 1 / n**r
-        x_r = 1 / X**r
-        terms = [-math.log1p(a / (N * k)) / k if r == 1 else x_r * y / (r - 1), 0.5 * x_r]
-        rising = r / y  # (r)_(2j-1) y^(1-2j)
-        for j, w in enumerate(weights, 1):
-            terms.append(w * rising * x_r)
-            rising *= (r + 2 * j - 1) * (r + 2 * j) / (y * y)
-        value += v * (direct + sum(terms))
-        scale += abs(v) * (direct + sum(abs(t) for t in terms))
+    for v, (total, magnitude) in zip(unit_values, _class_table(r, k, N)):
+        value += v * total
+        scale += abs(v) * magnitude
     # Per class the direct sum and the N + 2 corrections (at most 5N + 4
     # roundings each) are off by at most (6N + 6) _U of their magnitudes;
     # chi(a) and its product add _ROOT_ERR + 1, the sum one per class.
-    rounding_bound = (6 * N + 7 + _ROOT_ERR + len(classes)) * _U * scale
+    rounding_bound = (6 * N + 7 + _ROOT_ERR + len(unit_values)) * _U * scale
     return LSeriesValue(r, value, N * k, tail_bound, rounding_bound)
 
 

@@ -41,10 +41,17 @@ from ``binomial`` when the sum runs, once per p for the whole coeffs sweep;
 The floating sums share one kernel, ``_power_sums_complex``: the sums for
 every exponent 0..P at one frequency class mod k, in one pass over s, from
 the class's representative of smallest angle.  The floating prop1 residual
-reads f from the table at -m and g from the one at +m; f is summed in its
-own right, not conjugated from g.  The sweep computes each table once per
-class (k, e mod k): m = 1 and k - 1 share two tables, and for even k the
-frequencies +-k/2 share one.
+reads f from the table at -m and g from the one at +m.  Because the weights
+s^j are real, f is the complex conjugate of g, and the kernel rounds the
+same way: under e -> -e the angle of w is negated exactly, libm's cos is
+even and its sin odd, and the complex products, the scaling by s and the
+adds each negate an imaginary part exactly when their inputs' imaginary
+parts are negated.  So the table at -e is the element-wise conjugate of the
+one at +e, entry for entry (only the sign of a zero may differ).  The sweep
+therefore sums only the classes e = 1 and floor(k/2) of each k and reads -1
+and -floor(k/2) as their conjugates; for even k the frequencies +-k/2 are
+one class, read as it is.  ``exp_power_sum_complex`` and
+``prop1_residual_complex`` sum both signs themselves.
 """
 
 from __future__ import annotations
@@ -378,15 +385,20 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
     """Floating sweep over m in {1, k-1, floor(k/2)}.
 
     The sums for exponents 0..pmax are built once per frequency class
-    (k, e mod k) and shared by every p and by both signs that name the class;
-    the signed binomials once per p, the powers of k once per k.
+    (k, e mod k), e = 1 and floor(k/2), and shared by every p and by both
+    signs that name the class; the class -e, when it is another one, reads
+    the conjugate table (see the module docstring).  The signed binomials are
+    built once per p, the powers of k once per k.
     """
     _require_pk(pmax, kmax)
     cases = 0
     failures = []
-    classes = {(k, e % k) for k in range(2, kmax + 1)
-               for m in (1, k // 2, k - 1) for e in (m, -m)}
-    tables = {(k, e): _power_sums_complex(pmax, k, e) for k, e in classes}
+    tables = {}
+    for k in range(2, kmax + 1):
+        for e in {1, k // 2}:
+            tables[k, e] = table = _power_sums_complex(pmax, k, e)
+            if 2 * e != k:
+                tables[k, k - e] = [z.conjugate() for z in table]
     powers = {k: _float_powers(k, pmax) for k in range(2, kmax + 1)}
     for p in range(1, pmax + 1):
         signed = _signed_binomials(p)

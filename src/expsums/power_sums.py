@@ -8,7 +8,8 @@ symbolic closed-form polynomials in k.  All agree exactly; h(p, 0) = 0 and
 0^0 = 1 by convention.  The recurrence runs Horner's scheme in (k+1) on
 integer numerators over one denominator, as shift-adds, and reduces each
 output coefficient once; closed forms are evaluated the same way, with one
-division at the end.  ``h_polynomial`` memoises one closed form per exponent.
+division at the end.  ``h_polynomial`` memoises one closed form per exponent,
+and ``_h_numerators`` its integer numerators.
 
 ``bernoulli_oracle`` reads even-index B_n off the tangent number T_(n/2),
 B_n = (-1)^(n/2-1) n T_(n/2) / (2^n (2^n - 1)), and grows the tangent
@@ -96,18 +97,19 @@ def faulhaber_polynomial(p: int, bern: Callable[[int], Fraction]) -> Polynomial:
     return Polynomial((_ratio(c, den * (p + 1)) for c in nums), var="k")
 
 
-def _odd_recurrence(p: int, lower: Callable[[int], Polynomial]) -> tuple[list[int], int]:
+def _odd_recurrence(p: int,
+                    lower: Callable[[int], tuple[list[int], int]]) -> tuple[list[int], int]:
     """The closed form of ``odd_recurrence_polynomial`` as (nums, den): the
     coefficient of k^i is nums[i] / den, nothing reduced.
 
-    Each lower form is cleared to integer numerators once and scaled to the
-    lcm D of their denominators, so acc, over D, takes each Horner step as
-    integer shift-adds; den is 2D.  A lower form of higher degree than acc
-    pads it.
+    ``lower(j)`` gives h(j, .) the same way, as integer numerators over one
+    denominator.  Each is scaled to the lcm D of their denominators, so acc,
+    over D, takes each Horner step as integer shift-adds; den is 2D.  A lower
+    form of higher degree than acc pads it.
     """
     if p < 1 or p % 2 == 0:
         raise ParityError(f"the halving recurrence needs odd p >= 1, got {p}")
-    forms = [_integer_numerators(lower(j).coeffs) for j in range(1, p)]
+    forms = [lower(j) for j in range(1, p)]
     den = math.lcm(*[d for _, d in forms])
     acc = [0, den]
     for j, (nums, d) in enumerate(forms, 1):
@@ -125,7 +127,7 @@ def odd_recurrence_polynomial(p: int, lower: Callable[[int], Polynomial]) -> Pol
     in Horner form: acc = k, then acc <- acc (k+1) + (-1)^j C(p, j) h(j, .)
     for j = 1..p-1 in turn, and the result is acc (k+1) / 2.
     """
-    nums, den = _odd_recurrence(p, lower)
+    nums, den = _odd_recurrence(p, lambda j: _integer_numerators(lower(j).coeffs))
     return Polynomial((_ratio(c, den) for c in nums), var="k")
 
 
@@ -144,10 +146,17 @@ def h_polynomial(p: int) -> Polynomial:
     return odd_recurrence_polynomial(p, h_polynomial)
 
 
-def _integral_value(poly: Polynomial, p: int, k: int) -> int:
-    """poly(k) as the power sum h(p, k), by Horner's scheme on the integer
-    numerators over the form's one denominator; a non-integer value is a fault."""
-    nums, den = _integer_numerators(poly.coeffs)
+@lru_cache(maxsize=None)
+def _h_numerators(p: int) -> tuple[list[int], int]:
+    """``h_polynomial(p)`` as integer numerators over one denominator, cleared
+    once per exponent."""
+    return _integer_numerators(h_polynomial(p).coeffs)
+
+
+def _integral_value(form: tuple[list[int], int], p: int, k: int) -> int:
+    """The closed form (nums, den) of h(p, .) at k, by Horner's scheme on the
+    integer numerators, divided once by den; a non-integer value is a fault."""
+    nums, den = form
     total = 0
     for c in reversed(nums):
         total = total * k + c
@@ -163,7 +172,8 @@ def h_faulhaber(p: int, k: int) -> Fraction:
     on each call; asserted integral, never truncated."""
     if p < 1 or k < 0:
         raise ValueError(f"h_faulhaber requires p >= 1 and k >= 0, got p={p}, k={k}")
-    return Fraction(_integral_value(faulhaber_polynomial(p, bernoulli_oracle), p, k))
+    form = faulhaber_polynomial(p, bernoulli_oracle)
+    return Fraction(_integral_value(_integer_numerators(form.coeffs), p, k))
 
 
 def h_recurrence(p: int, k: int) -> int:
@@ -171,7 +181,8 @@ def h_recurrence(p: int, k: int) -> int:
 
     Walks q = 1..p once, bottom-up: odd q by the recurrence (Horner's scheme
     in k+1) over the values below q, even q from ``h_polynomial`` (the
-    recurrence cannot produce them).  Each division by 2 must be exact.
+    recurrence cannot produce them), cleared to integer numerators once per q
+    by ``_h_numerators``.  Each division by 2 must be exact.
     """
     if p < 1:
         raise ValueError(f"h_recurrence requires p >= 1, got {p}")
@@ -182,7 +193,7 @@ def h_recurrence(p: int, k: int) -> int:
     values = [k]  # h(0, k), never read
     for q in range(1, p + 1):
         if q % 2 == 0:
-            values.append(_integral_value(h_polynomial(q), q, k))
+            values.append(_integral_value(_h_numerators(q), q, k))
             continue
         total = k
         for j in range(1, q):

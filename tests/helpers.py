@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import json
 import math
 import os
 import subprocess
@@ -18,7 +19,16 @@ from itertools import repeat
 from pathlib import Path
 
 import expsums
-from expsums import CyclotomicElement, Polynomial, RetrievalDetail, bernoulli_oracle
+from expsums import (
+    CyclotomicElement,
+    LSeriesValue,
+    Polynomial,
+    RetrievalDetail,
+    bernoulli_oracle,
+    dirichlet,
+    enumerate_characters,
+)
+from expsums.cli import _fmt_complex
 from expsums.compositions import enumerate_chains
 from expsums.errors import ConsistencyError
 
@@ -277,6 +287,66 @@ def per_class_tail_bound(r: int, chi, N: int) -> float:
                 bound *= (r + i) / (2.0 * math.pi * y)
         total += abs(chi(a)) * bound
     return total
+
+
+def characters_renderings(k: int) -> tuple[str, str]:
+    """The text and the JSON output of ``characters --k K``, rendered from
+    each record's ``values``, one ``_fmt_complex`` call per value, the whole
+    JSON list in one ``json.dumps``."""
+    lines, records = [f"{len(enumerate_characters(k))} characters mod {k}"], []
+    for c in enumerate_characters(k):
+        values = [_fmt_complex(v) for v in c.values]
+        flags = [c.parity, "principal" if c.principal else "non-principal",
+                 f"conductor {c.conductor}", "primitive" if c.primitive else "imprimitive"]
+        lines += [f"chi_{c.index}: " + ", ".join(flags), "  values: " + ", ".join(values)]
+        records.append({"conductor": c.conductor, "index": c.index, "modulus": c.modulus,
+                        "parity": c.parity, "primitive": c.primitive,
+                        "principal": c.principal, "values": values})
+    return "\n".join(lines) + "\n", json.dumps(records, sort_keys=True) + "\n"
+
+
+def shifted_phase_column(walk, position: int):
+    """``dirichlet._characters`` with every character's phase at the unit in
+    ``position`` raised by one mod L: a perturbed column of the phase walk."""
+    def perturbed(k):
+        order_lcm = len(dirichlet._phase_units(k)[1])
+        for chi, phase in walk(k):
+            shifted = list(phase)
+            shifted[position] = (shifted[position] + 1) % order_lcm
+            yield chi, shifted
+
+    return perturbed
+
+
+def l_value_per_character(r: int, chi, target_tol: float) -> LSeriesValue:
+    """``l_value`` with every class's sum and magnitude recomputed for the
+    character at hand, in the same floating-point order: the loop the class
+    tables replaced."""
+    k = chi.modulus
+    classes = [(a, chi.values[a % k]) for a in range(1, k + 1) if chi.values[a % k] != 0]
+    weight = sum(abs(v) for _, v in classes)
+    N = 1
+    while (tail_bound := weight * dirichlet._remainder_bound(r, k, N)) > target_tol:
+        N += 1
+    weights = [dirichlet._bernoulli_weight(j) for j in range(1, N + 1)]
+    value = 0j
+    scale = 0.0
+    for a, v in classes:
+        X = a + N * k
+        y = X / k
+        direct = 0.0
+        for n in range(a, X, k):
+            direct += 1 / n**r
+        x_r = 1 / X**r
+        terms = [-math.log1p(a / (N * k)) / k if r == 1 else x_r * y / (r - 1), 0.5 * x_r]
+        rising = r / y
+        for j, w in enumerate(weights, 1):
+            terms.append(w * rising * x_r)
+            rising *= (r + 2 * j - 1) * (r + 2 * j) / (y * y)
+        value += v * (direct + sum(terms))
+        scale += abs(v) * (direct + sum(abs(t) for t in terms))
+    rounding_bound = (6 * N + 7 + dirichlet._ROOT_ERR + len(classes)) * dirichlet._U * scale
+    return LSeriesValue(r, value, N * k, tail_bound, rounding_bound)
 
 
 def prop1_residual_termwise(p: int, k: int, m: int, binom=math.comb) -> CyclotomicElement:

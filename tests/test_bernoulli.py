@@ -180,7 +180,8 @@ class TestRetrieval:
             detail = retrieve_bernoulli_detail(n)
             assert detail.recurrence_poly == detail.closed_form_poly == h_polynomial(detail.p), n
             if n % 2 == 0:
-                assert bernoulli._lower_form(n) == h_polynomial(n), n
+                nums, den = bernoulli._lower_form(n)
+                assert Polynomial((Fraction(c, den) for c in nums), var="k") == h_polynomial(n), n
 
 
     def test_detail_equals_the_fraction_solve_bit_for_bit(self, cold_closed_forms):
@@ -240,9 +241,13 @@ class TestRetrievalOwnClosedForms:
         # j <= 29: one lower form (the step for B_30 solves for its own
         # h(31, .) and reads no h(30, .)).  No literal sum, no interpolation,
         # and no Polynomial product: the Horner steps, the solve, the
-        # derivative rule and the division by p+1 all stay on integers.
+        # derivative rule and the division by p+1 all stay on integers, and
+        # every form is cleared to integer numerators once: the 15 odd lower
+        # forms and the 16 Faulhaber forms (the even lower forms are the
+        # derivatives of cleared odd ones).
         calls = Counter()
-        originals = {"_odd_recurrence": power_sums._odd_recurrence,
+        originals = {"_integer_numerators": exact._integer_numerators,
+                     "_odd_recurrence": power_sums._odd_recurrence,
                      "odd_recurrence_polynomial": power_sums.odd_recurrence_polynomial,
                      "faulhaber_polynomial": power_sums.faulhaber_polynomial,
                      "h_naive": power_sums.h_naive,
@@ -264,7 +269,8 @@ class TestRetrievalOwnClosedForms:
             monkeypatch.setattr(Polynomial, name, counted("Polynomial.__mul__"))
         table = bernoulli_table(30)
         assert [table[n] for n in range(31)] == [bernoulli_oracle(n) for n in range(31)]
-        assert calls == Counter(_odd_recurrence=16, faulhaber_polynomial=16)
+        assert calls == Counter(_odd_recurrence=16, faulhaber_polynomial=16,
+                                _integer_numerators=31)
         assert calls["Polynomial.__mul__"] == calls["odd_recurrence_polynomial"] == 0
         assert bernoulli._lower_form.cache_info().misses == 29
         for j in range(1, 30):  # the 29 forms built are those of j = 1..29
@@ -308,9 +314,12 @@ class TestGatesCanFail:
         wrong = max(n - 2, 1)
         original = bernoulli._lower_form
 
-        def perturbed(j):
-            form = original(j)
-            return form + Polynomial.monomial(d, var="k") if j == wrong else form
+        def perturbed(j):  # the form plus k^d
+            nums, den = original(j)
+            if j != wrong:
+                return nums, den
+            nums = nums + [0] * (d + 1 - len(nums))
+            return nums[:d] + [nums[d] + den] + nums[d + 1:], den
 
         monkeypatch.setattr(bernoulli, "_lower_form", perturbed)
         reason = "the recurrence fails at degree 2" if n == 2 else ""

@@ -15,8 +15,10 @@ from helpers import (
     b2_off_by_a_third,
     bitmask_compositions,
     chains_without_the_empty_one,
+    characters_renderings,
     cli_env,
     run_cli,
+    shifted_phase_column,
 )
 
 
@@ -212,13 +214,31 @@ class TestCharacters:
             "36286874dba12a9066e07432ff1c72fac73b3006fcb00308e0ff6bcb42643e9b")
 
     def test_json_of_no_characters_is_an_empty_list(self, capsys, monkeypatch):
-        monkeypatch.setattr(dirichlet, "enumerate_characters", lambda k: [])
+        monkeypatch.setattr(dirichlet, "_characters", lambda k: iter(()))
         assert run(capsys, "characters", "--k", "5", "--json") == (0, "[]\n", "")
 
     def test_text_mode(self, capsys):
         status, out, _ = run(capsys, "characters", "--k", "4")
         assert status == 0
         assert out.startswith("2 characters mod 4")
+
+    def test_rows_by_phase_equal_the_rendering_of_the_values(self, capsys):
+        # Each row is gathered from one string per phase; the bytes must be
+        # those of one _fmt_complex call per value of the records.
+        for k in [*range(1, 101), 600, 997, 1000]:
+            text, as_json = characters_renderings(k)
+            assert run(capsys, "characters", "--k", str(k)) == (0, text, ""), k
+            assert run(capsys, "characters", "--k", str(k), "--json") == (0, as_json, ""), k
+
+    def test_perturbed_phase_column_breaks_the_rows(self, capsys, monkeypatch):
+        monkeypatch.setattr(dirichlet, "_characters",
+                            shifted_phase_column(dirichlet._characters, 2))
+        text = run(capsys, "characters", "--k", "7")
+        as_json = run(capsys, "characters", "--k", "7", "--json")
+        monkeypatch.undo()
+        want_text, want_json = characters_renderings(7)
+        assert text[0] == as_json[0] == 0
+        assert text[1] != want_text and as_json[1] != want_json
 
 
 class TestVerify:

@@ -19,14 +19,36 @@ from expsums import (
     s_sum,
     unit_group_structure,
 )
+import helpers
 from helpers import (
     PERTURBED_BINOMIALS,
     brute_totient,
     l_reference,
     l_reference_tail,
+    l_value_per_character,
     per_class_tail_bound,
     s_sum_double_loop,
 )
+
+
+def _assert_phase_walk(k, walk):
+    # t(u) = phase[i] for u = units[i] reads chi(u) off the roots, and it is
+    # additive on products (every unit against every generator and -1
+    # covers every product).
+    units, roots = dirichlet._phase_units(k)
+    steps = [g % k for g in unit_group_structure(k).generators] + [(k - 1) % k]
+    records = enumerate_characters(k)
+    count = 0
+    for chi, phase in walk:
+        assert chi == records[count]
+        count += 1
+        t = dict(zip(units, phase))
+        assert len(phase) == len(t) == len(units)
+        for u in units:
+            assert roots[t[u]] == chi.values[u], (k, chi.index, u)
+            for g in steps:
+                assert t[u * g % k] == (t[u] + t[g]) % len(roots), (k, chi.index, u, g)
+    assert count == len(records)
 
 
 def _quadratic(k):
@@ -165,6 +187,15 @@ class TestCharacters:
                                  if all(n == 0 for u, n in phase.items() if u % d == 1 % d))
                 assert chi.conductor == conductor, (k, chi.index)
 
+    def test_walk_phases_index_the_values_and_add_on_products(self):
+        for k in [*range(1, 101), 600]:
+            _assert_phase_walk(k, dirichlet._characters(k))
+
+    def test_perturbed_phase_column_fails_the_phase_checks(self):
+        walk = helpers.shifted_phase_column(dirichlet._characters, 2)
+        with pytest.raises(AssertionError):
+            _assert_phase_walk(7, walk(7))
+
     def test_known_conductors_mod_12(self):
         chars = enumerate_characters(12)
         conductors = sorted(c.conductor for c in chars)
@@ -273,6 +304,19 @@ class TestLValue:
                 if N > 1:
                     assert weight * dirichlet._remainder_bound(r, k, N - 1) > tol
                 assert lv.tail_bound >= per_class_tail_bound(r, chi, N), (k, r, chi.index)
+
+    def test_class_tables_give_the_per_character_values_bit_for_bit(self):
+        # Each class's sum and magnitude come from one table per (r, k, N);
+        # the values, bounds and N are those of the loop that recomputed them
+        # for every character, down to the last bit.
+        for k in [*range(1, 61), *range(185, 201)]:
+            for chi in enumerate_characters(k):
+                for r in range(1, 5):
+                    if r == 1 and chi.principal:
+                        continue
+                    got = l_value(r, chi, 2.0**-53)
+                    assert repr(got) == repr(l_value_per_character(r, chi, 2.0**-53)), (
+                        k, r, chi.index)
 
     @pytest.mark.parametrize("k, r, want", [
         (4, 1, math.pi / 4),
@@ -471,6 +515,15 @@ class TestGatesCanFail:
         monkeypatch.setattr(dirichlet, "_gauss_sums", _unconjugated_gauss_sums)
         checked = _checked(k, r, include_imprimitive=True)
         assert any(rep.status == "FAIL" for rep in checked)
+
+    @pytest.mark.parametrize("k, r", [(5, 2), (7, 3), (12, 1), (13, 4)])
+    def test_class_table_for_the_wrong_r_fails(self, monkeypatch, k, r):
+        # A case of test_ratio_within_stated_error_bound, its L-series read
+        # from the class table of r + 1.
+        table = dirichlet._class_table
+        monkeypatch.setattr(dirichlet, "_class_table", lambda r, k, N: table(r + 1, k, N))
+        checked = _checked(k, r, include_imprimitive=True)
+        assert checked and all(rep.status == "FAIL" for rep in checked)
 
     @pytest.mark.parametrize("name, fake, k, message", UNIT_GROUP_MUTATIONS,
                              ids=["order", "independence", "coverage"])

@@ -296,7 +296,9 @@ class TestSweeps:
 
     def test_prop1_float_sweep_equals_public_residual(self, monkeypatch):
         # Every residual is recorded at the gate and made a failure, so that
-        # its case label comes back beside it.
+        # its case label comes back beside it.  The sweep reads the classes -1
+        # and -floor(k/2) as conjugates; each residual must still have the
+        # bits of the one summed at both signs.
         residuals = []
 
         def record(res, p, k, rel_tol=1e-8):
@@ -304,14 +306,16 @@ class TestSweeps:
             return False
 
         monkeypatch.setattr(exp_sums, "float_tolerance_ok", record)
-        sweep = run_prop1_float(6, 40)
-        assert len(sweep.failures) == len(residuals) == sweep.cases
+        sweep = run_prop1_float(12, 128)
+        assert len(sweep.failures) == len(residuals) == sweep.cases == 4536
         for failure, res in zip(sweep.failures, residuals):
             p, k, m = (int(part.split("=")[1]) for part in failure["case"].split())
-            assert res == prop1_residual_complex(p, k, m), failure["case"]
+            assert repr(res) == repr(prop1_residual_complex(p, k, m)), failure["case"]
 
     def test_prop1_float_kernel_runs_once_per_class(self, monkeypatch):
-        # m = 1 and k - 1 share two classes, +-k/2 one for even k.
+        # Only the classes +1 and +floor(k/2) of each k are summed, each once;
+        # -1 and -floor(k/2) are read as their conjugates, so no class is
+        # summed when its conjugate class was (for even k, +-k/2 is one class).
         classes = []
         kernel = exp_sums._power_sums_complex
 
@@ -321,7 +325,20 @@ class TestSweeps:
 
         monkeypatch.setattr(exp_sums, "_power_sums_complex", counted)
         assert run_prop1_float(12, 128).ok
-        assert len(classes) == len(set(classes)) == 440
+        assert len(classes) == len(set(classes)) == 252
+        assert not [(k, e) for k, e in classes if (k, -e % k) in classes and 2 * e % k]
+
+    def test_float_kernel_is_conjugate_symmetric(self):
+        # The premise of the sweep's conjugate read: the table at -e equals the
+        # conjugate of the table at +e, entry by entry, over the sweep's range.
+        # (When 2e = k, -e and e name one class, summed at one representative.)
+        for k in range(2, 513):
+            for e in (1, k // 2):
+                if 2 * e == k:
+                    continue
+                plus = exp_sums._power_sums_complex(12, k, e)
+                minus = exp_sums._power_sums_complex(12, k, -e)
+                assert minus == [z.conjugate() for z in plus], (k, e)
 
 
 def _prop1_grid(pmax, kmax):
@@ -463,3 +480,11 @@ class TestGatesCanFail:
         if perturbation == "drop-a0-term":
             assert len(sweep.failures) == sweep.cases
         assert all(r["detail"].startswith("abs=") for r in sweep.failures)
+
+    def test_prop1_float_fails_at_its_cap(self, monkeypatch):
+        # At the CLI caps, through the conjugate tables, every case fails
+        # when the a = 0 term is dropped; no --tol can make a correct sweep
+        # fail there, since the absolute allowance 1e-9 k^(p+1) ignores it.
+        monkeypatch.setattr(exp_sums, "binomial", PERTURBED_BINOMIALS["drop-a0-term"])
+        sweep = run_prop1_float(12, 512)
+        assert len(sweep.failures) == sweep.cases == 18360

@@ -91,17 +91,27 @@ class TestRecurrence:
 
 class TestFaulhaber:
     def test_k_sweep_builds_each_closed_form_once(self, cold_closed_forms, monkeypatch):
+        # One build of each even form, and one clearing to integer numerators:
+        # its own, inside faulhaber_polynomial, and that of h_recurrence.
         builds = Counter()
+        clears = Counter()
         original = power_sums.faulhaber_polynomial
+        clear = power_sums._integer_numerators
 
         def counted(p, bern):
             builds[p] += 1
             return original(p, bern)
 
+        def counted_clear(coeffs):
+            clears[len(coeffs) - 2] += 1
+            return clear(coeffs)
+
         monkeypatch.setattr(power_sums, "faulhaber_polynomial", counted)
+        monkeypatch.setattr(power_sums, "_integer_numerators", counted_clear)
         for k in range(200):
             assert h_recurrence(41, k) == h_naive(41, k)
         assert builds == Counter(range(2, 41, 2))
+        assert clears == Counter({q: 2 for q in range(2, 41, 2)})
 
     def test_linear_case(self):
         for k in range(20):
