@@ -223,7 +223,7 @@ class TestCharacters:
         assert out.startswith("2 characters mod 4")
 
     def test_rows_by_phase_equal_the_rendering_of_the_values(self, capsys):
-        # Each row is gathered from one string per phase; the bytes must be
+        # Each row is placed from one string per phase; the bytes must be
         # those of one _fmt_complex call per value of the records.
         for k in [*range(1, 101), 600, 997, 1000]:
             text, as_json = characters_renderings(k)

@@ -19,7 +19,6 @@ from expsums import (
     s_sum,
     unit_group_structure,
 )
-import helpers
 from helpers import (
     PERTURBED_BINOMIALS,
     brute_totient,
@@ -28,6 +27,7 @@ from helpers import (
     l_value_per_character,
     per_class_tail_bound,
     s_sum_double_loop,
+    shifted_phase_column,
 )
 
 
@@ -192,7 +192,7 @@ class TestCharacters:
             _assert_phase_walk(k, dirichlet._characters(k))
 
     def test_perturbed_phase_column_fails_the_phase_checks(self):
-        walk = helpers.shifted_phase_column(dirichlet._characters, 2)
+        walk = shifted_phase_column(dirichlet._characters, 2)
         with pytest.raises(AssertionError):
             _assert_phase_walk(7, walk(7))
 
