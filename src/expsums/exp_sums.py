@@ -33,10 +33,11 @@ print its residue.  Testing the vector equals testing the sum of the reduced
 terms, because reduction Z[x]/(x^k - 1) -> Q[x]/Phi_k is a ring homomorphism.
 ``prop1_residual_cyclo`` and ``exp_power_sum_cyclo`` return reduced residues.
 
-The chain sums form each chain's signed product once, from the product of
-the chain without its last index times one entry of a Pascal table built
-from ``binomial`` when the sum runs, once per p for the whole coeffs sweep;
-``_chain_groups`` walks the chains grouped by last index.
+The chain sums form no chain's product.  ``_chain_sums`` sums the signed
+products over every chain from p down to each i by back-substitution,
+c_i = -sum_(j>i) C(j, i) c_j, on a Pascal table built from ``binomial`` when
+the sum runs: one O(p^2) pass gives every a = 0..p at once, once per p for
+the whole coeffs sweep.
 
 The floating sums share one kernel, ``_power_sums_complex``: the sums for
 every exponent 0..P at one frequency class mod k, in one pass over s, from
@@ -59,7 +60,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError, _Record
 from .exact import CyclotomicElement, Polynomial, _is_zero_mod_phi, binomial
@@ -280,7 +281,7 @@ def chain_coefficient_sum(p: int, a: int) -> int:
         raise ValueError(f"p must be >= 1, got {p}")
     if a < 0 or a > p:
         raise ValueError(f"need 0 <= a <= p, got a={a}, p={p}")
-    return _chain_sum(_pascal(p), a)[0]
+    return _chain_sums(_pascal(p))[a][0]
 
 
 def _pascal(p: int) -> list[list[int]]:
@@ -288,48 +289,21 @@ def _pascal(p: int) -> list[list[int]]:
     return [[binomial(n, r) for r in range(n + 1)] for n in range(p + 1)]
 
 
-def _chain_groups(pascal: list[list[int]], lower: int) -> Iterator[tuple[int, int, int]]:
-    """The chains p > i_1 > ... > i_r > lower, p = len(pascal) - 1, in groups
-    that share their last index: (C(i_r, lower), the sum of their signed
-    prefix products (-1)^(p+r+1) C(p, i_1) ... C(i_(r-1), i_r), their
-    number), the empty chain (i_r = p) first.
+def _chain_sums(pascal: list[list[int]]) -> list[tuple[int, int]]:
+    """The chain sum and the number of chains for a = 0..p, p = len(pascal) - 1.
 
-    Each product is formed once, from its chain minus the last index, by one
-    signed Pascal-table entry.  The walk runs once per first index i_1, so
-    only the chains below one i_1 are alive; it keeps them grouped by last
-    index and extends a whole group with one list operation, largest index
-    first, so a group is complete when it is reached.  Chains ending at
-    lower + 1 cannot grow: they are summed as they are made, not stored.
+    One back-substitution over the table, by the distributive law: c_i, the
+    signed sum over every chain from p down to i with the sign (-1)^(p+1) of
+    the empty chain, is c_p = (-1)^(p+1) and c_i = -sum_(j>i) C(j, i) c_j, so
+    the chain sum of (p-a, p) is -c_(p-a).  The counts n_i follow the same
+    recursion without signs, n_p = 1 and n_i = sum_(j>i) n_j.
     """
     p = len(pascal) - 1
-    end = lower + 1
-    empty = 1 if p % 2 else -1
-    yield pascal[p][lower], empty, 1
-    for first in range(end, p):
-        link = -empty * pascal[p][first]
-        if first == end:
-            yield pascal[end][lower], link, 1
-            continue
-        groups: dict[int, list[int]] = {first: [link]}
-        for hi in range(first, end, -1):
-            prods = groups.pop(hi)
-            row = pascal[hi]
-            for lo in range(end + 1, hi):
-                groups.setdefault(lo, []).extend(map((-row[lo]).__mul__, prods))
-            yield pascal[end][lower], sum(map((-row[end]).__mul__, prods)), len(prods)
-            yield row[lower], sum(prods), len(prods)
-
-
-def _chain_sum(pascal: list[list[int]], a: int) -> tuple[int, int]:
-    # The chain sum for 0 <= a <= p = len(pascal) - 1 and the number of chains.
-    p = len(pascal) - 1
-    if a == 0:
-        return (-1) ** p, 1
-    total = count = 0
-    for closing, signed, chains in _chain_groups(pascal, p - a):
-        total += closing * signed
-        count += chains
-    return total, count
+    c, n = [0] * p + [1 if p % 2 else -1], [0] * p + [1]
+    for i in range(p - 1, -1, -1):
+        c[i] = -sum(pascal[j][i] * c[j] for j in range(i + 1, p + 1))
+        n[i] = sum(n[i + 1:])
+    return [(-c[p - a], n[p - a]) for a in range(p + 1)]
 
 
 class SweepResult(_Record):
@@ -357,8 +331,8 @@ def run_prop1_exact(pmax: int, kmax: int) -> SweepResult:
     2 <= k <= kmax, 1 <= m <= 3k with k not dividing m.
 
     The residual depends on m only through m mod k, so each class is
-    evaluated once per (p, k) and every m in the range is counted (and, on
-    failure, recorded) against its class's residue.
+    evaluated once per (p, k): the 3(k - 1) values of m are counted, and
+    walked, in order, only to record the failures of a failing class.
     """
     _require_pk(pmax, kmax)
     cases = 0
@@ -371,13 +345,11 @@ def run_prop1_exact(pmax: int, kmax: int) -> SweepResult:
                 vec = _class_vector(k, constant, weights, mm)
                 if not _is_zero_mod_phi(vec):
                     failing[mm] = CyclotomicElement(k, Polynomial(vec)).residue
-            for m in range(1, 3 * k + 1):
-                if m % k == 0:
-                    continue
-                cases += 1
-                if m % k in failing:
-                    failures.append(_failure(f"p={p} k={k} m={m}",
-                                             f"nonzero residue {failing[m % k]}"))
+            cases += 3 * (k - 1)
+            if failing:
+                failures.extend(_failure(f"p={p} k={k} m={m}",
+                                         f"nonzero residue {failing[m % k]}")
+                                for m in range(1, 3 * k + 1) if m % k in failing)
     return SweepResult("prop1-exact", cases, tuple(failures))
 
 
@@ -429,19 +401,17 @@ def run_eq3(pmax: int, kmax: int) -> SweepResult:
 
 def run_coefficient_check(pmax: int) -> SweepResult:
     """Chain-sum sweep: value (-1)^(p-a) C(p, a) for a < p, exactly 1 at a = p,
-    and 2^(p-1) chains enumerated at a = p.
+    and 2^(p-1) chains counted at a = p.
 
-    The a = p sum runs over every chain in (0, p), so its one enumeration
-    also gives the chain count.
+    One ``_chain_sums`` pass per p gives every a's sum and chain count; the
+    a = p count covers every chain in (0, p).
     """
     _require_pk(pmax, 2)
     cases = 0
     failures = []
     for p in range(1, pmax + 1):
-        pascal = _pascal(p)
-        for a in range(p + 1):
+        for a, (got, n_chains) in enumerate(_chain_sums(_pascal(p))):
             cases += 1
-            got, n_chains = _chain_sum(pascal, a)
             want = (-1) ** (p - a) * binomial(p, a)
             if got != want:
                 failures.append(_failure(f"p={p} a={a}", f"chain sum {got}, closed form {want}"))

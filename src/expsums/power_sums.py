@@ -136,14 +136,16 @@ def h_polynomial(p: int) -> Polynomial:
     """Closed-form polynomial for h(p, .): degree p+1, leading coefficient
     1/(p+1), zero constant term.
 
-    Odd p is built symbolically through the halving recurrence; even p through
-    the Bernoulli closed form with oracle Bernoulli numbers.
+    Odd p is built symbolically through the halving recurrence, over the
+    lower forms' memoised integer numerators; even p through the Bernoulli
+    closed form with oracle Bernoulli numbers.
     """
     if p < 1:
         raise ValueError(f"h_polynomial requires p >= 1, got {p}")
     if p % 2 == 0:
         return faulhaber_polynomial(p, bernoulli_oracle)
-    return odd_recurrence_polynomial(p, h_polynomial)
+    nums, den = _odd_recurrence(p, _h_numerators)
+    return Polynomial((_ratio(c, den) for c in nums), var="k")
 
 
 @lru_cache(maxsize=None)

@@ -406,15 +406,18 @@ def eq3_residual_termwise(p: int, k: int, binom=math.comb) -> Polynomial:
     return Polynomial(worst)
 
 
+def _chain_term(p: int, lower: int, chain, binom) -> int:
+    """(-1)^(p+r+1) C(p, i_1) ... C(i_r, lower) for one chain of
+    ``enumerate_chains(p, lower)``."""
+    seq = (p, *chain.indices, lower)
+    return (-1) ** (p + chain.length + 1) * math.prod(
+        binom(hi, lo) for hi, lo in zip(seq, seq[1:]))
+
+
 def chain_sum_reference(p: int, a: int, binom=math.comb) -> int:
     """sum (-1)^(p+r+1) C(p, i_1) ... C(i_r, p-a) over the validated chains
     of ``enumerate_chains(p, p-a)`` for 1 <= a <= p."""
-    total = 0
-    for chain in enumerate_chains(p, p - a):
-        seq = (p, *chain.indices, p - a)
-        total += (-1) ** (p + chain.length + 1) * math.prod(
-            binom(hi, lo) for hi, lo in zip(seq, seq[1:]))
-    return total
+    return sum(_chain_term(p, p - a, chain, binom) for chain in enumerate_chains(p, p - a))
 
 
 # Perturbed binomials for mutation tests: each breaks the identities checked
@@ -426,18 +429,20 @@ PERTURBED_BINOMIALS = {
 }
 
 
-def chains_without_the_empty_one(pascal, lower: int):
-    """Every chain of ``enumerate_chains(upper, lower)``, upper =
-    len(pascal) - 1, but the first, the empty chain, in the form of
-    ``exp_sums._chain_groups``: one group
-    (C(i_r, lower), (-1)^(upper+r+1) C(upper, i_1) ... C(i_(r-1), i_r), 1)
-    per chain, from ``math.comb``, not the table.  A perturbed chain side for
-    the coeffs gate (every a >= 1 sum loses its C(p, p-a) term)."""
-    upper = len(pascal) - 1
-    for chain in enumerate_chains(upper, lower)[1:]:
-        seq = (upper, *chain.indices)
-        prod = math.prod(math.comb(hi, lo) for hi, lo in zip(seq, seq[1:]))
-        yield math.comb(seq[-1], lower), (-1) ** (upper + chain.length + 1) * prod, 1
+def chains_without_the_empty_one(pascal) -> list[tuple[int, int]]:
+    """A stand-in for ``exp_sums._chain_sums``, p = len(pascal) - 1, that
+    drops the first chain of ``enumerate_chains(p, p-a)``, the empty one,
+    from every a >= 1: the sum over the rest from ``math.comb``, not the
+    table, and one chain fewer in the count; a = 0 keeps ((-1)^p, 1).  A
+    perturbed chain side for the coeffs gate (every a >= 1 sum loses its
+    C(p, p-a) term)."""
+    p = len(pascal) - 1
+    out = [((-1) ** p, 1)]
+    for a in range(1, p + 1):
+        chains = enumerate_chains(p, p - a)[1:]
+        out.append((sum(_chain_term(p, p - a, chain, math.comb) for chain in chains),
+                    len(chains)))
+    return out
 
 
 def b2_off_by_a_third(n: int) -> Fraction:

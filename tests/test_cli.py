@@ -379,7 +379,7 @@ class TestGatesCanFail:
         assert out.splitlines()[-1 if command[1] == "alkan" else 0].startswith("FAIL (")
 
     def test_perturbed_chains_fail_coeffs(self, capsys, monkeypatch):
-        monkeypatch.setattr(exp_sums, "_chain_groups", chains_without_the_empty_one)
+        monkeypatch.setattr(exp_sums, "_chain_sums", chains_without_the_empty_one)
         status, out, _ = run(capsys, "verify", "coeffs", "--pmax", "4")
         assert status == 1
         assert out.startswith("FAIL (14 of 18 cases failed)\n")

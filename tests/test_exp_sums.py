@@ -1,5 +1,6 @@
 import cmath
 import random
+import tracemalloc
 
 import pytest
 
@@ -232,21 +233,33 @@ class TestSweeps:
         with pytest.raises(ValueError, match="must be >="):
             runner(*args)
 
-    def test_coefficient_sweep_enumerates_each_chain_set_once(self, monkeypatch):
-        # The chains in (p-a, p) are the subsets of its a-1 interior points;
-        # the a = p set also gives the 2^(p-1) count, without a second pass.
-        enumerated = []
-        walk = exp_sums._chain_groups
+    def test_coefficient_sweep_sums_the_chains_once_per_p(self, monkeypatch):
+        # One back-substitution per p gives every a; its counts for a >= 1
+        # cover the chains in (p-a, p), 2^(a-1) each, 2^p - 1 in all.
+        passes = []
+        sums = exp_sums._chain_sums
 
-        def counted(pascal, q):
-            for closing, signed, chains in walk(pascal, q):
-                enumerated.append(chains)
-                yield closing, signed, chains
+        def counted(pascal):
+            passes.append(sums(pascal))
+            return passes[-1]
 
-        monkeypatch.setattr(exp_sums, "_chain_groups", counted)
+        monkeypatch.setattr(exp_sums, "_chain_sums", counted)
         sweep = run_coefficient_check(8)
         assert sweep.ok and sweep.cases == sum(p + 2 for p in range(1, 9))
-        assert sum(enumerated) == sum(2**p - 1 for p in range(1, 9))
+        assert len(passes) == 8
+        assert [sum(n for _, n in got[1:]) for got in passes] == [
+            2**p - 1 for p in range(1, 9)]
+
+    def test_coefficient_sweep_peak_memory_is_small(self):
+        # Two lists of p + 1 integers beside the Pascal table, not one
+        # product per chain (266 KiB at p = 16 for a walk over the chains).
+        tracemalloc.start()
+        try:
+            assert run_coefficient_check(16).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 10
 
     def test_coefficient_sweep_builds_one_pascal_table_per_p(self, monkeypatch):
         # Rows 0..p once per p, (p+1)(p+2)/2 entries, and one closed form per
@@ -411,12 +424,14 @@ class TestChainSumReference:
             for a in range(1, p + 1):
                 assert chain_coefficient_sum(p, a) == chain_sum_reference(p, a), (p, a)
 
-    def test_walk_sum_and_count_equal_a_literal_loop(self):
-        # Up to the coeffs cap: the walk's total and its number of chains.
+    def test_sums_and_counts_equal_a_literal_loop(self):
+        # Up to the coeffs cap: every a's total and its number of chains, and
+        # at a = 0 the leading term (-1)^p of one (empty) product.
         for p in range(1, 17):
-            for a in range(1, p + 1):
-                want = (chain_sum_reference(p, a), len(enumerate_chains(p, p - a)))
-                assert exp_sums._chain_sum(exp_sums._pascal(p), a) == want, (p, a)
+            want = [((-1) ** p, 1)] + [
+                (chain_sum_reference(p, a), len(enumerate_chains(p, p - a)))
+                for a in range(1, p + 1)]
+            assert exp_sums._chain_sums(exp_sums._pascal(p)) == want, p
 
     def test_pascal_table_reads_the_module_binomial(self, monkeypatch):
         # The table is built from exp_sums.binomial when the sum runs, so a
@@ -463,7 +478,7 @@ class TestGatesCanFail:
     def test_coeffs_reports_failures(self, monkeypatch):
         # Only the chain side is perturbed: every chain sum with a >= 1 loses
         # its empty-chain term and every chain count falls short by one.
-        monkeypatch.setattr(exp_sums, "_chain_groups", chains_without_the_empty_one)
+        monkeypatch.setattr(exp_sums, "_chain_sums", chains_without_the_empty_one)
         sweep = run_coefficient_check(4)
         assert sweep.cases == 18
         assert [r["case"] for r in sweep.failures] == [

@@ -113,6 +113,21 @@ class TestFaulhaber:
         assert builds == Counter(range(2, 41, 2))
         assert clears == Counter({q: 2 for q in range(2, 41, 2)})
 
+    def test_odd_form_clears_each_lower_form_once(self, cold_closed_forms, monkeypatch):
+        # A cold h_polynomial(63), the CLI's poly cap: each lower form is
+        # cleared to integer numerators once, in _h_numerators, and each even
+        # one once more inside faulhaber_polynomial; 93 clears in all.
+        clears = Counter()
+        clear = power_sums._integer_numerators
+
+        def counted_clear(coeffs):
+            clears[len(coeffs) - 2] += 1
+            return clear(coeffs)
+
+        monkeypatch.setattr(power_sums, "_integer_numerators", counted_clear)
+        h_polynomial(63)
+        assert clears == Counter({q: 2 - q % 2 for q in range(1, 63)})
+
     def test_linear_case(self):
         for k in range(20):
             assert h_faulhaber(1, k) == Fraction(k * (k + 1), 2)
