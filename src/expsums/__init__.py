@@ -13,6 +13,10 @@ __version__ = "0.1.0"
 
 # Home module of every public name: the one list of them.
 _HOMES = {
+    "arith": (
+        "bernoulli_oracle", "binomial", "format_rational", "multinomial",
+        "parse_rational",
+    ),
     "bernoulli": (
         "BernoulliTable", "RetrievalDetail", "bernoulli_table",
         "retrieve_bernoulli", "retrieve_bernoulli_detail",
@@ -34,21 +38,21 @@ _HOMES = {
         "PreconditionError", "SizeLimitError",
     ),
     "exact": (
-        "CyclotomicElement", "Polynomial", "Rational", "binomial",
-        "cyclo_root_power", "cyclotomic_polynomial", "format_rational",
-        "multinomial", "parse_rational", "poly_coefficient",
-        "polynomial_from_points",
+        "CyclotomicElement", "Polynomial", "Rational", "cyclo_root_power",
+        "cyclotomic_polynomial", "poly_coefficient", "polynomial_from_points",
     ),
     "exp_sums": (
-        "ExpSumQuery", "FloatResidual", "SweepResult", "chain_coefficient_sum",
-        "eq3_residual_poly", "exp_power_sum_complex", "exp_power_sum_cyclo",
-        "prop1_residual_complex", "prop1_residual_cyclo",
-        "run_coefficient_check", "run_eq3", "run_prop1_exact",
-        "run_prop1_float",
+        "chain_coefficient_sum", "eq3_residual_poly", "exp_power_sum_cyclo",
+        "prop1_residual_cyclo", "run_coefficient_check", "run_eq3",
+        "run_prop1_exact",
+    ),
+    "floating": (
+        "ExpSumQuery", "FloatResidual", "SweepResult", "exp_power_sum_complex",
+        "prop1_residual_complex", "run_prop1_float",
     ),
     "power_sums": (
-        "bernoulli_oracle", "eq4_check", "faulhaber_polynomial", "h_faulhaber",
-        "h_naive", "h_polynomial", "h_recurrence", "odd_recurrence_polynomial",
+        "eq4_check", "faulhaber_polynomial", "h_faulhaber", "h_naive",
+        "h_polynomial", "h_recurrence", "odd_recurrence_polynomial",
     ),
 }
 _HOME_OF = {name: home for home, names in _HOMES.items() for name in names}

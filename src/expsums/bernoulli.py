@@ -1,7 +1,7 @@
 """Bernoulli numbers retrieved as the paper does, and a table of them.
 
 ``retrieve_bernoulli`` recovers B_n from power sums alone, sharing no code
-with ``power_sums.bernoulli_oracle``.  In Faulhaber's closed form of
+with ``arith.bernoulli_oracle``.  In Faulhaber's closed form of
 h(p, .), p = n+1 (p = 1 for n = 1), B_n enters exactly one coefficient, that
 of k^(p-n+1), with weight (-1)^n C(p+1, n)/(p+1).  Retrieval reads B_n off
 that coefficient of the odd-exponent halving recurrence, then insists the two
@@ -26,9 +26,10 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import power_sums
+from .arith import bernoulli_oracle
 from .errors import ConsistencyError, _Record
 from .exact import Polynomial, _integer_numerators, _ratio, poly_coefficient
-from .power_sums import _odd_recurrence, bernoulli_oracle, faulhaber_polynomial
+from .power_sums import _odd_recurrence, faulhaber_polynomial
 
 
 class RetrievalDetail(_Record):

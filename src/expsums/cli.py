@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from .errors import ConsistencyError, SizeLimitError
 
 if TYPE_CHECKING:
-    from .exp_sums import SweepResult
+    from .floating import SweepResult
 
 
 def _cap(value: int, cap: int, flag: str):
@@ -67,7 +67,7 @@ def _print_json(obj) -> None:
 
 
 def _cmd_powersum(args) -> int:
-    from .exact import format_rational
+    from .arith import format_rational
     from .power_sums import h_faulhaber, h_naive, h_polynomial, h_recurrence
 
     _cap(args.p, 64, "--p")
@@ -104,7 +104,7 @@ def _cmd_powersum(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
-    from .exact import format_rational
+    from .arith import format_rational
 
     if args.table is not None:
         from .bernoulli import bernoulli_table
@@ -129,7 +129,7 @@ def _cmd_bernoulli(args) -> int:
         _cap(args.n, 60, "--n")
         value = retrieve_bernoulli(args.n)
     else:
-        from .power_sums import bernoulli_oracle
+        from .arith import bernoulli_oracle
 
         _cap(args.n, 500, "--n")
         value = bernoulli_oracle(args.n)
@@ -235,13 +235,15 @@ def _print_sweep(sweep: SweepResult, as_json: bool) -> int:
 
 
 def _cmd_verify_prop1(args) -> int:
-    from .exp_sums import run_prop1_exact, run_prop1_float
-
     if args.float:
+        from .floating import run_prop1_float
+
         _cap(args.pmax, 12, "--pmax")
         _cap(args.kmax, 512, "--kmax")
         sweep = run_prop1_float(args.pmax, args.kmax, 1e-8 if args.tol is None else args.tol)
     else:
+        from .exp_sums import run_prop1_exact
+
         if args.tol is not None:  # an exact residual is zero or not: no tolerance
             raise ValueError("--tol applies to --float, not to the exact sweep")
         _cap(args.pmax, 16, "--pmax")

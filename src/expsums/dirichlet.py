@@ -20,7 +20,11 @@ mod k, with weights from ``bernoulli_oracle``; each class's sum depends only
 on (r, k, N), so one table per (r, k, N) serves every character.  Exactness
 lives elsewhere in the package; this module is double precision by design,
 with rigorous remainder bounds where series are cut and first-order bounds on
-rounding.
+rounding.  Sums of real floats are left-to-right loops, not the builtin
+``sum``, which compensates float rounding from Python 3.12 on, so a report
+has the same bits on 3.10 through 3.13.  From the package it imports only
+``errors`` and ``arith`` (binomials, factorizations and the oracle), so
+listing characters loads neither the exact layer nor ``fractions``.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ import types
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
+from .arith import _factorize, bernoulli_oracle, binomial
 from .errors import ConsistencyError, DivergenceError, _Record
-from .exact import _factorize, binomial
-from .power_sums import bernoulli_oracle
 
 # Unit roundoff of IEEE double precision.
 _U = 2.0**-53
@@ -327,7 +330,11 @@ def _class_table(r: int, k: int, N: int) -> tuple[tuple[float, float], ...]:
         for j, w in enumerate(weights, 1):
             terms.append(w * rising * x_r)
             rising *= (r + 2 * j - 1) * (r + 2 * j) / (y * y)
-        table.append((direct + sum(terms), direct + sum(abs(t) for t in terms)))
+        total = magnitude = 0.0
+        for t in terms:
+            total += t
+            magnitude += abs(t)
+        table.append((direct + total, direct + magnitude))
     return tuple(table)
 
 
@@ -364,7 +371,9 @@ def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
     # chi(a) for a = 1..k, off the zeros: one value per unit class, in the
     # order of the class table.
     unit_values = [v for v in chi.values[1:] + chi.values[:1] if v != 0]
-    weight = sum(abs(v) for v in unit_values)
+    weight = 0.0
+    for v in unit_values:
+        weight += abs(v)
     N = 1
     while (tail_bound := weight * _remainder_bound(r, k, N)) > target_tol:
         N += 1

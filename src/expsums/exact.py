@@ -12,6 +12,11 @@ unity.  One long-division loop, ``Polynomial.__divmod__``, serves the whole
 cyclotomic layer: it builds Phi_k by dividing x^k - 1 by each lower Phi_d, and
 it reduces every residue.  Whether an integer vector of Z[x]/(x^k - 1) is 0
 mod Phi_k is decided without it, by ``_is_zero_mod_phi``.
+
+The factorization and the "a/b" wire format this module reads
+(``_factorize``, ``format_rational``, ``parse_rational``) live in ``arith``
+with the binomials, so the double-precision commands use them without loading
+this module or ``fractions``.
 """
 
 from __future__ import annotations
@@ -21,71 +26,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
+from .arith import _factorize, format_rational, parse_rational
 from .errors import ConsistencyError
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
-def format_rational(q: Scalar) -> str:
-    """Serialize an exact scalar as "a/b", or "a" when the denominator is 1."""
-    return str(Fraction(q))
-
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`format_rational`."""
-    return Fraction(s)
-
-
-def binomial(n: int, r: int) -> int:
-    """Binomial coefficient C(n, r); 0 when r < 0 or r > n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Multinomial coefficient n! / (parts_1! * ... * parts_m!).
-
-    The parts must be non-negative and sum to n.
-    """
-    if n < 0:
-        raise ValueError(f"multinomial requires n >= 0, got n={n}")
-    if any(p < 0 for p in parts):
-        raise ValueError(f"multinomial parts must be non-negative, got {list(parts)}")
-    if sum(parts) != n:
-        raise ValueError(f"multinomial parts {list(parts)} do not sum to n={n}")
-    out = 1
-    remaining = n
-    for p in parts:
-        out *= math.comb(remaining, p)
-        remaining -= p
-    return out
-
-
 def _integer_numerators(coeffs: Sequence[Scalar]) -> tuple[list[int], int]:
     """Integer numerators of ``coeffs`` over the lcm of their denominators."""
     den = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    """The prime factorization of n >= 1 as (prime, exponent) pairs, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _ratio(num: int, den: int) -> Scalar:

@@ -1,5 +1,4 @@
-"""Power sums h(p, k) = 1^p + 2^p + ... + k^p, four ways, and the Bernoulli
-numbers Faulhaber's form reads.
+"""Power sums h(p, k) = 1^p + 2^p + ... + k^p, four ways.
 
 The evaluators are a literal summation oracle, an odd-exponent halving
 recurrence (h appears on both sides of a binomial reflection and survives
@@ -11,17 +10,9 @@ output coefficient once; closed forms are evaluated the same way, with one
 division at the end.  ``h_polynomial`` memoises one closed form per exponent,
 and ``_h_numerators`` its integer numerators.
 
-``bernoulli_oracle`` reads even-index B_n off the tangent number T_(n/2),
-B_n = (-1)^(n/2-1) n T_(n/2) / (2^n (2^n - 1)), and grows the tangent
-numbers with Brent and Harvey's triangle ("Fast computation of Bernoulli,
-Tangent and Secant numbers", arXiv:1108.0286), whose entries are sums of
-small multiples of their neighbours, so no two large integers are multiplied;
-B_0 = 1, B_1 = -1/2 and the odd B_n, n >= 3, vanish.  T_m is read from the
-smallest table T_1..T_(2^e) that holds it; each table is built once, one
-column at a time, and kept by an lru_cache, so asking for every n <= N in
-any order costs O(N^2) triangle entries and no module state is mutated.
-``h_polynomial`` and ``h_faulhaber`` take their B_j from it; the paper's
-retrieval in ``bernoulli`` checks it a second way.
+``h_polynomial`` and ``h_faulhaber`` take their B_j from the tangent-number
+oracle ``arith.bernoulli_oracle``, read through this module's binding; the
+paper's retrieval in ``bernoulli`` checks it a second way.
 """
 
 from __future__ import annotations
@@ -32,45 +23,9 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Callable
 
+from .arith import bernoulli_oracle, binomial
 from .errors import ConsistencyError, ParityError
-from .exact import Polynomial, _integer_numerators, _ratio, binomial
-
-
-@lru_cache(maxsize=None)
-def _tangents(size: int) -> tuple[int, ...]:
-    """T_1..T_size, from the first size columns of the triangle.
-
-    Column j holds U(1, j), ..., U(j, j), where U(1, j) = (j-1)!,
-    U(k, j) = (j-k) U(k, j-1) + (j-k+2) U(k-1, j) and T_j = U(j, j).
-    """
-    col, out = [1], [1]
-    for j in range(1, size):  # column j becomes column j+1, top to bottom
-        col[0] *= j
-        for k in range(1, j):
-            col[k] = (j - k) * col[k] + (j - k + 2) * col[k - 1]
-        col.append(2 * col[-1])
-        out.append(col[-1])
-    return tuple(out)
-
-
-def _tangent(m: int) -> int:
-    """T_m (m >= 1), from the smallest power-of-two table that holds it."""
-    return _tangents(1 << (m - 1).bit_length())[m - 1]
-
-
-@lru_cache(maxsize=None)
-def bernoulli_oracle(n: int) -> Fraction:
-    """Exact B_n (convention B_1 = -1/2) from the tangent numbers."""
-    if n < 0:
-        raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2:
-        return Fraction(0)
-    sign = 1 if n % 4 == 2 else -1  # (-1)^(n/2 - 1)
-    return Fraction(sign * n * _tangent(n // 2), (1 << n) * ((1 << n) - 1))
+from .exact import Polynomial, _integer_numerators, _ratio
 
 
 def h_naive(p: int, k: int) -> int:

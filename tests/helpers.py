@@ -421,7 +421,8 @@ def chain_sum_reference(p: int, a: int, binom=math.comb) -> int:
 
 
 # Perturbed binomials for mutation tests: each breaks the identities checked
-# in expsums.exp_sums when patched over its ``binomial``; "flip-r1-sign" also
+# in expsums.exp_sums and expsums.floating when patched over their
+# ``binomial``; "flip-r1-sign" also
 # breaks the closed forms that Bernoulli retrieval matches (expsums.power_sums).
 PERTURBED_BINOMIALS = {
     "drop-a0-term": lambda n, r: 0 if r == 0 else math.comb(n, r),

@@ -30,7 +30,7 @@ from expsums import (
     run_eq3,
     run_prop1_exact,
 )
-from expsums.exp_sums import float_tolerance_ok, prop1_residual_complex
+from expsums.floating import float_tolerance_ok, prop1_residual_complex
 from helpers import CLI_CASES, run_cli
 
 

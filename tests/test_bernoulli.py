@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from expsums import bernoulli, exact, power_sums
+from expsums import arith, bernoulli, exact, power_sums
 from expsums import (
     ConsistencyError,
     Polynomial,
@@ -85,7 +85,7 @@ def fresh_tangents():
     """Give the oracle no tangent tables and an empty value cache;
     returns a function that does it again."""
     def reset():
-        power_sums._tangents.cache_clear()
+        arith._tangents.cache_clear()
         bernoulli_oracle.cache_clear()
 
     reset()
@@ -97,15 +97,15 @@ class TestTangentTable:
     def test_cold_oracle_grows_the_table_once(self, fresh_tangents):
         # B_500 needs T_250, read from the one table T_1..T_256.
         bernoulli_oracle(500)
-        assert power_sums._tangents.cache_info().misses == 1
+        assert arith._tangents.cache_info().misses == 1
 
     def test_request_order_does_not_matter(self, fresh_tangents):
         # Either order builds at most the tables of sizes 1, 2, 4, ..., 256.
         descending = [bernoulli_oracle(n) for n in range(500, -1, -1)]
-        assert power_sums._tangents.cache_info().currsize <= 9
+        assert arith._tangents.cache_info().currsize <= 9
         fresh_tangents()
         ascending = [bernoulli_oracle(n) for n in range(501)]
-        assert power_sums._tangents.cache_info().currsize <= 9
+        assert arith._tangents.cache_info().currsize <= 9
         assert descending[::-1] == ascending
 
     def test_cold_oracle_is_thread_safe(self, fresh_tangents):
@@ -135,11 +135,11 @@ class TestTangentTable:
 
     def test_tangent_numbers(self, fresh_tangents):
         # OEIS A000182, then the odd zigzag numbers of Seidel's boustrophedon.
-        assert [power_sums._tangent(m) for m in range(1, 9)] == [
+        assert [arith._tangent(m) for m in range(1, 9)] == [
             1, 2, 16, 272, 7936, 353792, 22368256, 1903757312,
         ]
         zigzag = seidel_zigzag(199)
-        assert [power_sums._tangent(m) for m in range(1, 101)] == zigzag[1::2]
+        assert [arith._tangent(m) for m in range(1, 101)] == zigzag[1::2]
 
 
 class TestRetrieval:

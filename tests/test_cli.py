@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from expsums import dirichlet, exp_sums, power_sums
+from expsums import dirichlet, exp_sums, floating, power_sums
 from expsums.cli import _print_sweep, main
 from helpers import (
     CLI_CASES,
@@ -372,8 +372,8 @@ class TestGatesCanFail:
         ["verify", "alkan", "--k", "7", "--r", "3"],
     ], ids=["prop1", "eq3", "prop1-float", "alkan"])
     def test_perturbed_identity_fails(self, capsys, monkeypatch, command, perturbation):
-        monkeypatch.setattr(exp_sums, "binomial", PERTURBED_BINOMIALS[perturbation])
-        monkeypatch.setattr(dirichlet, "binomial", PERTURBED_BINOMIALS[perturbation])
+        for module in (exp_sums, floating, dirichlet):
+            monkeypatch.setattr(module, "binomial", PERTURBED_BINOMIALS[perturbation])
         status, out, _ = run(capsys, *command)
         assert status == 1
         assert out.splitlines()[-1 if command[1] == "alkan" else 0].startswith("FAIL (")
@@ -457,38 +457,41 @@ class TestRuntimeImports:
         " 'inspect', 'json'}), file=sys.stderr)\n"
     )
     BASE = {"expsums", "expsums.cli", "expsums.errors"}
-    SWEEPS = BASE | {"expsums.exact", "expsums.exp_sums"}
+    # The double-precision commands load no exact layer: the integer helpers
+    # they share with it live in arith.
+    FLOAT = BASE | {"expsums.arith", "expsums.floating"}
+    SWEEPS = FLOAT | {"expsums.exact", "expsums.exp_sums"}
+    CLOSED_FORMS = BASE | {"expsums.arith", "expsums.exact", "expsums.power_sums"}
+    DIRICHLET = BASE | {"expsums.arith", "expsums.dirichlet"}
 
     @pytest.mark.parametrize("argv, expected", [
         ([], {"expsums"}),
         (["compositions", "--n", "3"], BASE | {"expsums.compositions"}),
         (["verify", "prop1", "--pmax", "2", "--kmax", "3"], SWEEPS),
+        (["verify", "prop1", "--pmax", "2", "--kmax", "3", "--float"], FLOAT),
         (["verify", "eq3", "--pmax", "2", "--kmax", "3"], SWEEPS),
         (["verify", "coeffs", "--pmax", "3"], SWEEPS),
-        (["powersum", "--p", "3", "--k", "4"],
-         BASE | {"expsums.exact", "expsums.power_sums"}),
-        (["bernoulli", "--n", "4", "--method", "oracle"],
-         BASE | {"expsums.exact", "expsums.power_sums"}),
-        (["bernoulli", "--table", "3"],
-         BASE | {"expsums.bernoulli", "expsums.exact", "expsums.power_sums"}),
-        (["bernoulli", "--n", "2", "--method", "retrieve"],
-         BASE | {"expsums.bernoulli", "expsums.exact", "expsums.power_sums"}),
-        (["powersum", "--p", "3", "--method", "poly"],
-         BASE | {"expsums.exact", "expsums.power_sums"}),
-        (["characters", "--k", "5"],
-         BASE | {"expsums.dirichlet", "expsums.exact", "expsums.power_sums"}),
-        (["verify", "alkan", "--k", "5", "--r", "2"],
-         BASE | {"expsums.dirichlet", "expsums.exact", "expsums.power_sums"}),
-    ], ids=["import", "compositions", "prop1", "eq3", "coeffs", "powersum", "bernoulli",
-            "bernoulli-table", "bernoulli-retrieve", "powersum-poly", "characters", "alkan"])
+        (["powersum", "--p", "3", "--k", "4"], CLOSED_FORMS),
+        (["bernoulli", "--n", "4", "--method", "oracle"], BASE | {"expsums.arith"}),
+        (["bernoulli", "--table", "3"], CLOSED_FORMS | {"expsums.bernoulli"}),
+        (["bernoulli", "--n", "2", "--method", "retrieve"], CLOSED_FORMS | {"expsums.bernoulli"}),
+        (["powersum", "--p", "3", "--method", "poly"], CLOSED_FORMS),
+        (["characters", "--k", "5"], DIRICHLET),
+        (["verify", "alkan", "--k", "5", "--r", "2"], DIRICHLET),
+    ], ids=["import", "compositions", "prop1", "prop1-float", "eq3", "coeffs", "powersum",
+            "bernoulli", "bernoulli-table", "bernoulli-retrieve", "powersum-poly", "characters",
+            "alkan"])
     def test_module_footprint(self, argv, expected):
         package, stdlib = self.footprint(argv)
         assert package == expected
         # No record needs dataclasses (and its inspect), no run without
-        # --json needs json, and enumeration builds no Fraction.
+        # --json needs json, and enumeration, the character table and the
+        # floating sweep build no Fraction; the L-series weights do.
         assert not stdlib & {"dataclasses", "inspect", "json"}
-        if argv[:1] == ["compositions"]:
+        if argv[:1] in (["compositions"], ["characters"]) or "--float" in argv:
             assert "fractions" not in stdlib
+        if argv[1:2] == ["alkan"]:
+            assert "fractions" in stdlib
 
     def footprint(self, argv: list[str]) -> tuple[set[str], set[str]]:
         proc = subprocess.run([sys.executable, "-c", self.FOOTPRINT, *argv],

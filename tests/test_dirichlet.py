@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import operator
 import re
@@ -404,6 +405,32 @@ class TestAlkanCheck:
             assert rep.status == "FAIL"
             assert rep.error_bound > 1e-18
             assert "below the certifiable error" in rep.reason
+
+    @pytest.mark.parametrize("k, r", [(11, 1), (13, 2)])
+    def test_error_bound_is_the_tolerance_threshold(self, k, r):
+        # A tol just under a character's E fails for that reason alone, and
+        # one just over it is gated on the ratio: E itself, not a fraction of
+        # it, is where certification stops.
+        chi = next(c for c in enumerate_characters(k)
+                   if c.primitive and c.parity == ("odd" if r % 2 else "even"))
+        bound = alkan_check(r, chi, 1e-5).error_bound
+        below = alkan_check(r, chi, 0.9 * bound)
+        assert below.status == "FAIL"
+        assert "below the certifiable error" in below.reason
+        above = alkan_check(r, chi, 1.1 * bound)
+        assert "below the certifiable error" not in above.reason
+        assert above.status == "PASS"
+
+    def test_reports_have_the_same_bits_on_every_interpreter(self):
+        # Every sum of real floats is a left-to-right loop; with the builtin sum,
+        # which compensates float rounding from Python 3.12 on, the r = 1
+        # reports mod 17, 19 and 39 differed from 3.11's in their last bits.
+        # The digest is that of CPython 3.11.
+        cases = [(17, 1), (19, 1), (39, 1), (12, 2), (15, 3), (16, 4)]
+        text = "\n".join(repr(rep) for k, r in cases
+                         for rep in alkan_sweep(k, r, 1e-5, include_imprimitive=True))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c19187595b675cd8eb1389da8d1e45207abe073e5654b9fd2c4344ccb53223c2")
 
     def test_gauss_sums_computed_once_per_character(self, monkeypatch):
         # One table per character, and in it one direct sum per divisor of k.

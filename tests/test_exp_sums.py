@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from expsums import exp_sums
+from expsums import exp_sums, floating
 from expsums import (
     CyclotomicElement,
     ExpSumQuery,
@@ -280,32 +280,32 @@ class TestSweeps:
         # the numbers a call for p alone computes.
         for k in range(2, 21):
             for m in range(1, k):
-                f = exp_sums._power_sums_complex(9, k, -m)
-                g = exp_sums._power_sums_complex(9, k, m)
+                f = floating._power_sums_complex(9, k, -m)
+                g = floating._power_sums_complex(9, k, m)
                 for p in range(1, 10):
-                    assert exp_sums._prop1_residual_float(
-                        p, exp_sums._signed_binomials(p), exp_sums._float_powers(k, 9),
+                    assert floating._prop1_residual_float(
+                        p, floating._signed_binomials(p), floating._float_powers(k, 9),
                         f, g) == prop1_residual_complex(p, k, m), (p, k, m)
 
     def test_prop1_float_rows_match_the_per_term_loop_bit_for_bit(self):
         # The signed binomial row and the row of powers of k keep the order
         # sign * C * k^a * g of one binomial call and one power per term.
         for k in range(2, 129):
-            powers = exp_sums._float_powers(k, 12)
+            powers = floating._float_powers(k, 12)
             for m in sorted({1, k // 2, k - 1}):
-                f = exp_sums._power_sums_complex(12, k, -m)
-                g = exp_sums._power_sums_complex(12, k, m)
+                f = floating._power_sums_complex(12, k, -m)
+                g = floating._power_sums_complex(12, k, m)
                 for p in range(1, 13):
-                    got = exp_sums._prop1_residual_float(
-                        p, exp_sums._signed_binomials(p), powers, f, g)
+                    got = floating._prop1_residual_float(
+                        p, floating._signed_binomials(p), powers, f, g)
                     assert tuple(got) == prop1_float_residual_per_term(p, k, f, g), (p, k, m)
 
     def test_float_kernel_depends_on_the_class_only(self):
         for k in range(2, 21):
             for e in range(-k, 2 * k):
-                sums = exp_sums._power_sums_complex(6, k, e)
-                assert exp_sums._power_sums_complex(6, k, e + k) == sums, (k, e)
-                assert exp_sums._power_sums_complex(6, k, e - k) == sums, (k, e)
+                sums = floating._power_sums_complex(6, k, e)
+                assert floating._power_sums_complex(6, k, e + k) == sums, (k, e)
+                assert floating._power_sums_complex(6, k, e - k) == sums, (k, e)
 
     def test_prop1_float_sweep_equals_public_residual(self, monkeypatch):
         # Every residual is recorded at the gate and made a failure, so that
@@ -318,7 +318,7 @@ class TestSweeps:
             residuals.append(res)
             return False
 
-        monkeypatch.setattr(exp_sums, "float_tolerance_ok", record)
+        monkeypatch.setattr(floating, "float_tolerance_ok", record)
         sweep = run_prop1_float(12, 128)
         assert len(sweep.failures) == len(residuals) == sweep.cases == 4536
         for failure, res in zip(sweep.failures, residuals):
@@ -330,13 +330,13 @@ class TestSweeps:
         # -1 and -floor(k/2) are read as their conjugates, so no class is
         # summed when its conjugate class was (for even k, +-k/2 is one class).
         classes = []
-        kernel = exp_sums._power_sums_complex
+        kernel = floating._power_sums_complex
 
         def counted(P, k, e):
             classes.append((k, e % k))
             return kernel(P, k, e)
 
-        monkeypatch.setattr(exp_sums, "_power_sums_complex", counted)
+        monkeypatch.setattr(floating, "_power_sums_complex", counted)
         assert run_prop1_float(12, 128).ok
         assert len(classes) == len(set(classes)) == 252
         assert not [(k, e) for k, e in classes if (k, -e % k) in classes and 2 * e % k]
@@ -349,8 +349,8 @@ class TestSweeps:
             for e in (1, k // 2):
                 if 2 * e == k:
                     continue
-                plus = exp_sums._power_sums_complex(12, k, e)
-                minus = exp_sums._power_sums_complex(12, k, -e)
+                plus = floating._power_sums_complex(12, k, e)
+                minus = floating._power_sums_complex(12, k, -e)
                 assert minus == [z.conjugate() for z in plus], (k, e)
 
 
@@ -488,7 +488,7 @@ class TestGatesCanFail:
 
     @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
     def test_prop1_float_reports_failures(self, monkeypatch, perturbation):
-        monkeypatch.setattr(exp_sums, "binomial", PERTURBED_BINOMIALS[perturbation])
+        monkeypatch.setattr(floating, "binomial", PERTURBED_BINOMIALS[perturbation])
         sweep = run_prop1_float(4, 8)
         assert sweep.cases == 72
         assert not sweep.ok
@@ -500,6 +500,6 @@ class TestGatesCanFail:
         # At the CLI caps, through the conjugate tables, every case fails
         # when the a = 0 term is dropped; no --tol can make a correct sweep
         # fail there, since the absolute allowance 1e-9 k^(p+1) ignores it.
-        monkeypatch.setattr(exp_sums, "binomial", PERTURBED_BINOMIALS["drop-a0-term"])
+        monkeypatch.setattr(floating, "binomial", PERTURBED_BINOMIALS["drop-a0-term"])
         sweep = run_prop1_float(12, 512)
         assert len(sweep.failures) == sweep.cases == 18360

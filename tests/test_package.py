@@ -102,7 +102,15 @@ def test_package_imports_form_an_acyclic_graph():
                 if id(node) in enclosing:
                     local.add(enclosing[id(node)])
     assert graph["bernoulli"] >= {"power_sums"}
-    list(graphlib.TopologicalSorter(graph).static_order())  # CycleError names a cycle
+    order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError names a cycle
+    # The integer leaf imports nothing from the package, and the
+    # double-precision modules reach neither the exact layer nor power sums.
+    assert graph["arith"] == set()
+    reach = {}
+    for module in order:  # every import of a module precedes it
+        reach[module] = set().union(*[{m} | reach[m] for m in graph.get(module, ())])
+    for module in ("dirichlet", "floating"):
+        assert reach[module] & {"exact", "power_sums"} == set(), module
     assert {site for site in local if not site.startswith("cli._cmd_")} == {
         "compositions.gessel_coefficient_bruteforce"}
 
