@@ -1,31 +1,30 @@
-"""Desk-scale numerics: Dirichlet characters mod k, Gauss sums, the power
-moments S(m, chi) = sum_{j=1}^{k} (j/k)^m G(j, chi), L(r, chi), and a
-signed check of the identity tying L(r, chi) to Bernoulli-weighted moments
-of Gauss sums.
+"""Desk-scale numerics: Dirichlet characters mod k, Gauss sums, the power moments
+S(m, chi) = sum_{j=1}^{k} (j/k)^m G(j, chi), L(r, chi), and a signed check of
+the identity tying L(r, chi) to Bernoulli-weighted moments of Gauss sums.
 
 Characters are stored as explicit value tables (complex doubles, zero off the
 units); the unit group is decomposed into cyclic components so enumeration is
 deterministic.  Every root of unity is read from one table per order n,
-``cmath.rect(1, 2 pi t/n)``: a character value at the integer phase
-t mod L = lcm(component orders), a Gauss-sum root at t = m*j mod k.  Each
-table is computed once per orbit: one walk, ``_characters``, yields every
-character with its phases over the units, each its exponent prefix's phases
-plus one column, one add per unit, and reads its values off them; the CLI
-formats one string per phase and places each row's strings by phase.  A
-character's Gauss sums G(j, chi), j = 1..k, are one direct sum G(d, chi) per
-divisor d of k, every j = u*d with u a unit read off as conj chi(u) G(d, chi),
-and its moments S(m, chi) weigh them by one tuple of
-(j/k)^m per (k, m).  L(r, chi) is summed by Euler-Maclaurin per residue class
-mod k, with weights from ``bernoulli_oracle``; each class's sum depends only
-on (r, k, N), so one table per (r, k, N) serves every character.  Exactness
-lives elsewhere in the package; this module is double precision by design,
-with rigorous remainder bounds where series are cut and first-order bounds on
-rounding.  Sums of real floats are left-to-right loops, not the builtin
-``sum``, which compensates float rounding from Python 3.12 on, so a report
-has the same bits on 3.10 through 3.13.  From the package it imports only
-``errors`` and ``arith`` (binomials, factorizations and the oracle), so
-listing characters loads neither the exact layer nor ``fractions``.
+``cmath.rect(1, 2 pi t/n)``: a character value at the integer phase t mod L =
+lcm(component orders), a frequency root at t = a*s mod k.  Each table is
+computed once per orbit: one walk, ``_characters``, yields every character
+with its phases over the units, each its exponent prefix's phases plus one
+column, one add per unit, and reads its values off them; the CLI formats one
+string per phase and places each row's strings by phase.  For real w,
+reordering gives sum_j w(j/k) G(j, chi) = sum_a chi(a) T_a over the units,
+T_a = sum_s w(s/k) e^(2 pi i a s/k) the paper's exponential sum at frequency
+a: one ``_frequency_table`` per (k, w) serves S(m, chi) and the check's
+right-hand side, as one ``_class_table`` per (r, k, N) of Euler-Maclaurin
+class sums serves L(r, chi), each read by one dot product, ``_unit_dot``.
+Exactness lives elsewhere in the package; this module is double precision by
+design, with rigorous remainder bounds where series are cut and first-order
+bounds on rounding.  Sums are left-to-right loops, not the builtin ``sum``,
+which compensates float rounding from Python 3.12 on, so a report has the same
+bits on 3.10 through 3.13.  From the package it imports only ``errors`` and
+``arith``, so listing characters loads neither the exact layer nor
+``fractions``.
 """
+
 
 from __future__ import annotations
 
@@ -231,41 +230,59 @@ def gauss_sum(j: int, chi: DirichletCharacter) -> complex:
     from the table of k-th roots of unity at m j mod k."""
     k = chi.modulus
     roots = _roots(k)
-    return sum((v * roots[m * j % k] for m, v in enumerate(chi.values) if v != 0), 0j)
+    total = 0j
+    for m, v in enumerate(chi.values):
+        total += v * roots[m * j % k]
+    return total
 
 
-@lru_cache(maxsize=1)
-def _gauss_sums(chi: DirichletCharacter) -> tuple[complex, ...]:
-    # G(j, chi) for j = 1..k, kept for the last character asked about so that
-    # its moments share one table.  Reindexing m -> m u^-1 gives
-    # G(u d, chi) = conj chi(u) G(d, chi) for every unit u, and every j is
-    # u d mod k for d = gcd(j, k): one direct sum per divisor d of k, and j
-    # takes the least unit u that reaches it.
-    k = chi.modulus
-    units = [(u, v.conjugate()) for u, v in enumerate(chi.values) if v != 0]
-    table: dict[int, complex] = {}
-    for d in range(1, k + 1):
-        if k % d == 0:
-            g = gauss_sum(d, chi)
-            for u, w in units:
-                table.setdefault(u * d % k or k, w * g)
-    return tuple(table[j] for j in range(1, k + 1))
+@lru_cache(maxsize=64)
+def _frequency_table(k: int, coeffs: tuple[float, ...]) -> tuple[tuple[complex, float], ...]:
+    """(T_a, its bound) per unit a = 1..k: T_a = sum_{s=1}^{k} w(s/k) e^(2 pi i a s/k),
+    w(x) = sum_i coeffs[i] x^(d-i), d = len(coeffs) - 1, is real, so T_(k-a)
+    is read as conj T_a.  The bound also covers chi(a) T_a in ``_unit_dot``."""
+    d = len(coeffs) - 1
+    weights = []
+    shared = 0.0
+    for x in (s / k for s in range(1, k + 1)):
+        w = dominant = 0.0
+        for c in coeffs:
+            w = w * x + c
+            dominant = dominant * x + abs(c)
+        weights.append(w)
+        # With W = sum_i |coeffs[i]| x^(d-i): Horner is off by 2d _U W (Higham,
+        # eq. 5.3), x's rounding moves w by d _U W and coefficients within 2 _U
+        # of exact by 2 _U W; the product with a root adds (_ROOT_ERR + 1) _U |w|.
+        shared += (3 * d + 2) * dominant + (_ROOT_ERR + 1) * abs(w)
+    units = [a for a in range(1, k + 1) if math.gcd(a, k) == 1]
+    roots = _roots(k)
+    half = []
+    for a in units[:(len(units) + 1) // 2]:  # a <= k/2 (k > 1): units[-i] = k - units[i - 1]
+        total, partials = 0j, 0.0
+        for s, w in enumerate(weights, 1):
+            total += w * roots[a * s % k]
+            partials += abs(total)
+        # Each partial sum P_s rounds within _U |P_s|.  In the dot product
+        # chi(a) adds _ROOT_ERR _U |T_a|, its product sqrt(5) _U |T_a| and the
+        # sum of the n = len(units) terms (n - 1) _U |T_a|.
+        half.append((total, (shared + partials + (_ROOT_ERR + len(units) + 2) * abs(total)) * _U))
+    return tuple(half) + tuple((t.conjugate(), e) for t, e in reversed(half[:len(units) // 2]))
+
+
+def _unit_dot(chi: DirichletCharacter, table: tuple) -> tuple[complex, float]:
+    """(sum_a chi(a) x_a, sum_a |chi(a)| y_a) over a table of (x_a, y_a) per unit a = 1..k."""
+    value, bound = 0j, 0.0
+    for v, (x, y) in zip([v for v in chi.values[1:] + chi.values[:1] if v != 0], table):
+        value += v * x
+        bound += abs(v) * y
+    return value, bound
 
 
 def s_sum(m: int, chi: DirichletCharacter) -> complex:
     """S(m, chi) = sum_{j=1}^{k} (j/k)^m G(j, chi), the j = k term included."""
     if m < 0:
         raise ValueError(f"moment m must be >= 0, got {m}")
-    total = 0j
-    for w, g in zip(_moment_weights(chi.modulus, m), _gauss_sums(chi)):
-        total += w * g
-    return total
-
-
-@lru_cache(maxsize=64)
-def _moment_weights(k: int, m: int) -> tuple[float, ...]:
-    # (j/k)^m for j = 1..k, shared by every character mod k.
-    return tuple((j / k) ** m for j in range(1, k + 1))
+    return _unit_dot(chi, _frequency_table(chi.modulus, (1.0,) + (0.0,) * m))[0]
 
 
 class LSeriesValue(_Record):
@@ -357,9 +374,8 @@ def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
     for which tail_bound <= target_tol; truncation_N = N k: every n <= N k is
     summed directly.
     rounding_bound bounds the floating error to first order in the unit
-    roundoff, from the magnitudes of the summed terms.  Neither a class's sum
-    nor its magnitude depends on the character, so both are read from
-    ``_class_table(r, k, N)``, shared by every character with the same N.
+    roundoff, from the magnitudes of the summed terms; each class's sum and
+    magnitude are read from ``_class_table(r, k, N)``.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -368,24 +384,18 @@ def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
     k = chi.modulus
     if r == 1 and chi.principal:
         raise DivergenceError("L(1, chi) diverges for the principal character")
-    # chi(a) for a = 1..k, off the zeros: one value per unit class, in the
-    # order of the class table.
-    unit_values = [v for v in chi.values[1:] + chi.values[:1] if v != 0]
     weight = 0.0
-    for v in unit_values:
+    for v in chi.values:
         weight += abs(v)
     N = 1
     while (tail_bound := weight * _remainder_bound(r, k, N)) > target_tol:
         N += 1
-    value = 0j
-    scale = 0.0
-    for v, (total, magnitude) in zip(unit_values, _class_table(r, k, N)):
-        value += v * total
-        scale += abs(v) * magnitude
+    table = _class_table(r, k, N)
+    value, scale = _unit_dot(chi, table)
     # Per class the direct sum and the N + 2 corrections (at most 5N + 4
     # roundings each) are off by at most (6N + 6) _U of their magnitudes;
     # chi(a) and its product add _ROOT_ERR + 1, the sum one per class.
-    rounding_bound = (6 * N + 7 + _ROOT_ERR + len(unit_values)) * _U * scale
+    rounding_bound = (6 * N + 7 + _ROOT_ERR + len(table)) * _U * scale
     return LSeriesValue(r, value, N * k, tail_bound, rounding_bound)
 
 
@@ -427,11 +437,12 @@ def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
 
     L(r, chi) is summed to a tail below the unit roundoff, whatever tol is.
     The ratio carries a stated error bound E (``error_bound``): the relative
-    L error (tail_bound + rounding_bound) / |L| plus a first-order rounding
-    allowance for the Gauss-sum side, the prefactor and the quotient.  A tol
-    below E is reported as FAIL with that reason, whatever the ratio, because
-    double precision cannot certify it; then a magnitude miss is a FAIL with
-    no reason, a wrong sign one naming both signs.
+    L error (tail_bound + rounding_bound) / |L|, the relative bound of the
+    right-hand side from its frequency table, and first-order allowances for
+    the prefactor and the quotient.  A tol below E is reported as FAIL with
+    that reason, whatever the ratio, because double precision cannot certify
+    it; then a magnitude miss is a FAIL with no reason, a wrong sign one
+    naming both signs.
     """
     _require_alkan_range(r, tol)
     if chi.principal:
@@ -439,22 +450,10 @@ def alkan_check(r: int, chi: DirichletCharacter, tol: float) -> AlkanReport:
     if chi.parity != ("odd" if r % 2 else "even"):
         return _skipped(chi.modulus, r, chi.index, "parity mismatch")
     k = chi.modulus
-    units = sum(1 for v in chi.values if v != 0)
-    rhs = 0j
-    rhs_weight = 0.0
-    for q in range(2 * (r // 2) + 1):
-        b = bernoulli_oracle(q)
-        if b != 0:
-            c = binomial(r, q) * float(b)
-            rhs += c * s_sum(r - q, chi)
-            rhs_weight += abs(c)
-    # With |G(j)| <= units and (j/k)^m <= 1, and a complex product rounded
-    # within sqrt(5) _U: a direct G(d) is off by at most units (units +
-    # 2 _ROOT_ERR + sqrt(5)) _U and its product with conj chi(u) adds units
-    # (_ROOT_ERR + sqrt(5)) _U, so each G(j) is off by at most units (units +
-    # 3 _ROOT_ERR + 5) _U, S(m) by k units (units + k + m + 3 _ROOT_ERR + 7)
-    # _U, and the weighted sum adds 5 _U per term.
-    rhs_error = rhs_weight * k * units * (units + k + r + 3 * _ROOT_ERR + 12) * _U
+    # w(x) = sum_(q <= 2 floor(r/2)) C(r, q) B_q x^(r-q), coefficients within 2 _U.
+    coeffs = tuple(binomial(r, q) * float(bernoulli_oracle(q)) if q <= 2 * (r // 2)
+                   else 0.0 for q in range(r + 1))
+    rhs, rhs_error = _unit_dot(chi, _frequency_table(k, coeffs))
     lv = l_value(r, chi, target_tol=_U)
     prefactor = k * math.factorial(r) / (2 ** (r - 1) * math.pi**r)
     lhs_magnitude = prefactor * abs(lv.value)

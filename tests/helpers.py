@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -223,6 +224,80 @@ def s_sum_double_loop(m: int, chi) -> complex:
         for mm in range(1, k + 1):
             total += (j / k) ** m * chi.values[mm % k] * cmath.exp(2j * math.pi * mm * j / k)
     return total
+
+
+def alkan_coefficients(r: int) -> tuple[float, ...]:
+    """w(x) = sum_q C(r, q) B_q x^(r-q) over q <= 2 floor(r/2), as
+    ``alkan_check`` hands it to ``dirichlet._frequency_table``: doubles, the
+    coefficient of x^r first."""
+    return tuple(math.comb(r, q) * float(bernoulli_oracle(q)) if q <= 2 * (r // 2) else 0.0
+                 for q in range(r + 1))
+
+
+def negated_frequency_table(table):
+    """A stand-in for ``dirichlet._frequency_table`` that negates every T_a
+    and keeps its bound: a right-hand side of the right magnitude and the
+    wrong sign."""
+    return lambda k, coeffs: tuple((-t, bound) for t, bound in table(k, coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def _decimal_root(f: Fraction) -> tuple[Decimal, Decimal]:
+    """(cos, sin) of 2 pi f, f in [0, 1), in the caller's decimal context:
+    the Taylor-series recipes of the ``decimal`` documentation at
+    x = 2 pi f reduced to [-pi, pi)."""
+    pi = three = Decimal(3)
+    lasts, t, n, na, d, da = 0, three, 1, 0, 0, 24
+    while pi != lasts:
+        lasts = pi
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = t * n / d
+        pi += t
+    x = 2 * pi * (f - 1 if f >= Fraction(1, 2) else f).numerator / f.denominator
+    out = []
+    for i, s in ((0, Decimal(1)), (1, x)):
+        lasts, fact, num, sign = 0, 1, s, 1
+        while s != lasts:
+            lasts = s
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign = -sign
+            s += num / fact * sign
+        out.append(s)
+    return out[0], out[1]
+
+
+def rhs_reference_error(r: int, chi, value: complex) -> float:
+    """|value - sum_(j=1..k) w(j/k) G(j, chi)| for the w of
+    ``alkan_coefficients`` with exact Bernoulli numbers, the reference summed
+    in ``decimal`` to 32 digits: each character value is the exact root of
+    unity e^(2 pi i t/phi(k)) nearest its stored double, and each G(j, chi)
+    term one root e^(2 pi i (t/phi(k) + n j/k))."""
+    k = chi.modulus
+    phi = brute_totient(k)
+    bernoulli = akiyama_tanigawa_bernoulli(r)
+    with localcontext() as ctx:
+        ctx.prec = 32
+        phases = {}
+        for n, v in enumerate(chi.values):
+            if v != 0:
+                t = round(cmath.phase(v) / (2 * math.pi) * phi) % phi
+                assert abs(cmath.exp(2j * math.pi * t / phi) - v) < 1e-12
+                phases[n] = Fraction(t, phi)
+        re = Decimal(value.real)
+        im = Decimal(value.imag)
+        for j in range(1, k + 1):
+            x = Fraction(j, k)
+            w = sum(math.comb(r, q) * bernoulli[q] * x ** (r - q)
+                    for q in range(2 * (r // 2) + 1))
+            w = Decimal(w.numerator) / w.denominator
+            for n, t in phases.items():
+                c, s = _decimal_root((t + Fraction(n * j, k)) % 1)
+                re -= w * c
+                im -= w * s
+        return math.hypot(re, im)
 
 
 @functools.lru_cache(maxsize=None)

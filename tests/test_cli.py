@@ -17,6 +17,7 @@ from helpers import (
     chains_without_the_empty_one,
     characters_renderings,
     cli_env,
+    negated_frequency_table,
     run_cli,
     shifted_phase_column,
 )
@@ -408,8 +409,8 @@ class TestGatesCanFail:
 
     def test_wrong_sign_is_reported(self, capsys, monkeypatch):
         # A negated right-hand side keeps every magnitude: only the sign fails.
-        s_sum = dirichlet.s_sum
-        monkeypatch.setattr(dirichlet, "s_sum", lambda m, chi: -s_sum(m, chi))
+        monkeypatch.setattr(dirichlet, "_frequency_table",
+                            negated_frequency_table(dirichlet._frequency_table))
         status, out, _ = run(capsys, "verify", "alkan", "--k", "5", "--r", "2")
         assert status == 1
         assert " sign=+1 (sign +1, expected -1)\n" in out
