@@ -379,7 +379,7 @@ def l_value(r: int, chi: DirichletCharacter, target_tol: float) -> LSeriesValue:
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    if target_tol <= 0:
+    if not target_tol > 0:
         raise ValueError(f"target_tol must be positive, got {target_tol}")
     k = chi.modulus
     if r == 1 and chi.principal:
@@ -423,7 +423,7 @@ def _skipped(k: int, r: int, chi_index: int, reason: str) -> AlkanReport:
 def _require_alkan_range(r: int, tol: float) -> None:
     if not 1 <= r <= 4:
         raise ValueError(f"the check is desk-scale only, need 1 <= r <= 4, got {r}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
 

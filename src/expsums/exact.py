@@ -64,7 +64,7 @@ class Polynomial:
 
     Coefficients are stored ascending by degree with trailing zeros trimmed,
     so representations are canonical.  ``var`` is a display label only; it is
-    ignored by arithmetic and equality.
+    ignored by arithmetic and equality.  A constant hashes as its scalar.
     """
 
     __slots__ = ("coeffs", "var")
@@ -229,7 +229,7 @@ class Polynomial:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.coefficient(0)) if len(self.coeffs) <= 1 else hash(self.coeffs)
 
     def to_json_coeffs(self) -> list[str]:
         """Ascending-degree coefficient strings; the shared wire format."""
@@ -271,42 +271,22 @@ def poly_coefficient(p: Polynomial, d: int) -> Fraction:
 
 
 def polynomial_from_points(points: Sequence[tuple[Scalar, Scalar]], var: str = "x") -> Polynomial:
-    """Lagrange interpolation through distinct exact points, in O(n^2).
+    """Newton interpolation through distinct exact points, in O(n^2).
 
-    With the abscissae scaled by D and the ordinates by E to integers X_j and
-    Y_j, the interpolant of (X_j, Y_j) is sum_i Y_i M(t)/((t - X_i) M'(X_i))
-    for M(t) = prod_j (t - X_j): one synthetic division of M per point, all
-    over the lcm of the M'(X_i).  Coefficient d of the result is that of
-    degree d divided by E and multiplied by D^d.
+    Divided differences, built in place, are expanded by Horner's scheme on
+    the Newton form: multiply by t - x_j, then add the next difference.
     """
     xs = [Fraction(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct abscissae")
-    big_x, x_scale = _integer_numerators(xs)
-    big_y, y_scale = _integer_numerators([Fraction(y) for _, y in points])
-    master = [1]  # prod_j (t - X_j), ascending
-    for xj in big_x:
-        master = [0] + master
-        for d in range(len(master) - 1):
-            master[d] -= xj * master[d + 1]
-    weights = []  # (Y_i, prod_{j != i} (X_i - X_j), X_i) for every Y_i != 0
-    for xi, yi in zip(big_x, big_y):
-        if yi:
-            weight = 1
-            for xj in big_x:
-                if xj != xi:
-                    weight *= xi - xj
-            weights.append((yi, weight, xi))
-    den = math.lcm(*[w for _, w, _ in weights])
-    total = [0] * len(big_x)
-    for yi, weight, xi in weights:
-        scale = yi * (den // weight)
-        carry = 0  # synthetic division of the master polynomial by t - X_i
-        for d in range(len(total) - 1, -1, -1):
-            carry = master[d + 1] + xi * carry
-            total[d] += scale * carry
-    den *= y_scale
-    return Polynomial((_ratio(c * x_scale**d, den) for d, c in enumerate(total)), var=var)
+    diffs = [Fraction(y) for _, y in points]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    result = Polynomial((), var=var)
+    for xj, d in zip(reversed(xs), reversed(diffs)):
+        result = result * Polynomial((-xj, 1)) + d
+    return Polynomial((_ratio(*c.as_integer_ratio()) for c in result.coeffs), var=var)
 
 
 @lru_cache(maxsize=None)
@@ -356,7 +336,7 @@ class CyclotomicElement:
     """Residue in Q[x]/Phi_k(x); x stands for a primitive k-th root of unity.
 
     The residue polynomial is always fully reduced (degree < deg Phi_k), so
-    x^k collapses to 1 and equality is literal.
+    x^k collapses to 1, equality is literal and the hash is the residue's.
     """
 
     __slots__ = ("modulus_k", "residue")
@@ -425,7 +405,7 @@ class CyclotomicElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.modulus_k, self.residue))
+        return hash(self.residue)
 
     def __repr__(self):
         return f"CyclotomicElement(k={self.modulus_k}, residue={self.residue})"

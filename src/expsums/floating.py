@@ -175,6 +175,8 @@ def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
     built once per p, the powers of k once per k.
     """
     _require_pk(pmax, kmax)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     cases = 0
     failures = []
     tables = {}

@@ -7,6 +7,8 @@ from expsums import (
     ExpSumQuery,
     ParityError,
     Polynomial,
+    alkan_check,
+    alkan_sweep,
     bernoulli_oracle,
     cyclo_root_power,
     enumerate_characters,
@@ -21,6 +23,7 @@ from expsums import (
     l_value,
     multinomial,
     odd_recurrence_polynomial,
+    run_prop1_float,
     unit_group_structure,
 )
 
@@ -46,6 +49,18 @@ CHECKS = [
     ("unit_group_structure", lambda: unit_group_structure(0), ValueError, ">= 1, got 0"),
     ("l_value", lambda: l_value(0, enumerate_characters(5)[1], 1e-9), ValueError,
      "r >= 1, got 0"),
+    # A NaN tolerance compares false with everything, so it must be refused
+    # rather than let every gate through.
+    ("l_value-nan-tol", lambda: l_value(1, enumerate_characters(11)[1], float("nan")),
+     ValueError, "target_tol must be positive, got nan"),
+    ("alkan_check-nan-tol", lambda: alkan_check(1, enumerate_characters(11)[1], float("nan")),
+     ValueError, "tol must be positive, got nan"),
+    ("alkan_sweep-nan-tol", lambda: alkan_sweep(13, 2, float("nan")), ValueError,
+     "tol must be positive, got nan"),
+    ("run_prop1_float-nan-tol", lambda: run_prop1_float(2, 4, float("nan")), ValueError,
+     "tol must be positive, got nan"),
+    ("run_prop1_float-tol", lambda: run_prop1_float(2, 4, 0.0), ValueError,
+     "tol must be positive, got 0.0"),
     ("multinomial", lambda: multinomial(-1, []), ValueError, "n >= 0, got n=-1"),
     ("ExpSumQuery", lambda: ExpSumQuery(p=-1, k=5, m=1, sign=1), ValueError, ">= 0, got -1"),
     ("cyclo_root_power", lambda: cyclo_root_power(0, 1), ValueError, "k >= 1, got 0"),

@@ -430,8 +430,8 @@ class TestAlkanRange:
 
 class TestRuntimeImports:
     def test_numpy_not_imported(self, monkeypatch):
-        # numpy is a test dependency only: neither importing the package nor
-        # the floating verify path may load it.
+        # numpy is no dependency of the package or of its tests: neither
+        # importing the package nor the floating verify path may load it.
         monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
         status, out, err = run_cli(["verify", "alkan", "--k", "5", "--r", "2"])
         assert status == 0 and out.startswith(b"chi_0: SKIPPED")

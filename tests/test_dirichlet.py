@@ -547,6 +547,14 @@ class TestGatesCanFail:
         checked = _checked(k, r)
         assert checked and all(rep.status == "FAIL" for rep in checked)
 
+    def test_perturbed_sweep_refuses_a_nan_tolerance(self, monkeypatch):
+        # Every comparison with NaN is false, so a NaN tol would pass the
+        # magnitude gate and the certifiable-error one of a broken identity.
+        _perturb(monkeypatch, "drop-a0-term")
+        assert all(rep.status == "FAIL" for rep in _checked(13, 2))
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            alkan_sweep(13, 2, float("nan"))
+
     def test_imprimitive_characters_are_gated(self, monkeypatch):
         # At r = 1 the parity-eligible characters mod 12 are the odd ones, of
         # conductor 3 and 4: every check of this sweep is of an imprimitive one.

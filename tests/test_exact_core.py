@@ -191,6 +191,11 @@ class TestPolynomial:
     def test_interpolation(self):
         pts = [(t, t * t + 1) for t in range(4)]
         assert polynomial_from_points(pts) == Polynomial([1, 0, 1])
+        # Integral coefficients come back as ints, not as Fraction(n, 1).
+        assert repr(polynomial_from_points([(1, 2), (2, 5), (3, 10)])) == (
+            "Polynomial([1, 0, 1], var='x')")
+        assert repr(polynomial_from_points([(0, Fraction(1, 2)), (2, 0)], var="k")) == (
+            "Polynomial([Fraction(1, 2), Fraction(-1, 4)], var='k')")
         with pytest.raises(ValueError):
             polynomial_from_points([(0, 1), (0, 2)])
 
@@ -201,7 +206,7 @@ class TestPolynomial:
         assert polynomial_from_points(points, var="k") == lagrange_cubic(points, var="k")
 
     @pytest.mark.parametrize("n", [0, 2, 8, 16, 30])
-    def test_interpolation_of_the_retrieval_shape(self, n):
+    def test_interpolation_of_power_sum_values(self, n):
         points = [(t, h_naive(n, t)) for t in range(n + 2)]
         assert polynomial_from_points(points, var="k") == lagrange_cubic(points, var="k")
 
@@ -344,6 +349,11 @@ class TestPolynomialOperators:
         twin = Polynomial(list(p.coeffs) + [0, 0], var="k" if p.var == "x" else "x")
         assert twin == p
         assert hash(twin) == hash(p)
+        # A constant equals its scalar, so it must hash as the scalar does.
+        s = p.coefficient(0)
+        assert Polynomial([s, 0], var=p.var) == s
+        assert hash(Polynomial([s, 0], var=p.var)) == hash(s)
+        assert len({Polynomial([2]), 2}) == len({Polynomial(), 0}) == 1
 
     @pytest.mark.parametrize("op", sorted(OPERATORS))
     @pytest.mark.parametrize("other", NON_NUMBERS, ids=repr)
@@ -402,6 +412,12 @@ class TestCyclotomicOperators:
         twin = CyclotomicElement(k, Polynomial(a) + cyclotomic_polynomial(k) * Polynomial(b))
         assert twin == elem
         assert hash(twin) == hash(elem)
+        # A scalar plus a multiple of Phi_k equals the scalar and hashes as it.
+        s = Polynomial(a).coefficient(0)
+        constant = CyclotomicElement(k, cyclotomic_polynomial(k) * Polynomial(b) + s)
+        assert constant == s
+        assert hash(constant) == hash(s)
+        assert len({CyclotomicElement(5, 1), 1}) == len({CyclotomicElement(k), 0}) == 1
 
     @pytest.mark.parametrize("op", sorted(OPERATORS))
     @pytest.mark.parametrize("other", NON_NUMBERS + [Polynomial([1, 1])], ids=repr)
