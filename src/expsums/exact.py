@@ -10,13 +10,16 @@ paying a gcd per ``Fraction`` term.  ``CyclotomicElement`` is a residue in
 Q[x]/Phi_k(x), the exact stand-in for expressions in a primitive k-th root of
 unity.  One long-division loop, ``Polynomial.__divmod__``, serves the whole
 cyclotomic layer: it builds Phi_k by dividing x^k - 1 by each lower Phi_d, and
-it reduces every residue.  Whether an integer vector of Z[x]/(x^k - 1) is 0
-mod Phi_k is decided without it, by ``_is_zero_mod_phi``.
+it reduces every residue.  The exact sweeps build none of these objects on
+a PASS: their integer vectors, and the test whether one is 0 mod Phi_k
+(``exp_sums._is_zero_mod_phi``, by integer orbit sums), live in
+``exp_sums``, which loads this module only to wrap a vector it returns or
+prints.
 
-The factorization and the "a/b" wire format this module reads
-(``_factorize``, ``format_rational``, ``parse_rational``) live in ``arith``
-with the binomials, so the double-precision commands use them without loading
-this module or ``fractions``.
+The "a/b" wire format this module reads (``format_rational``,
+``parse_rational``) lives in ``arith`` with the binomials, so the
+double-precision commands use it without loading this module or
+``fractions``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .arith import _factorize, format_rational, parse_rational
+from .arith import format_rational, parse_rational
 from .errors import ConsistencyError
 
 Rational = Fraction
@@ -305,31 +308,6 @@ def cyclotomic_polynomial(k: int) -> Polynomial:
         if k % d == 0:
             result = result.exact_div(cyclotomic_polynomial(d))
     return result
-
-
-def _is_zero_mod_phi(vec: list[int]) -> bool:
-    """Whether the element of Z[x]/(x^k - 1) with coefficient list ``vec``
-    (k = len(vec) >= 2) is divisible by Phi_k, without dividing.
-
-    Q[x]/(x^k - 1) is the product of the fields Q(zeta_d), d | k, and v is 0
-    mod Phi_k when its d = k component vanishes.  For a prime q | k,
-    q - sum_(a<q) x^(a*k/q) acts as 0 on the components with d | k/q and as q
-    on the others, so applying it for every prime of k but the last keeps,
-    each times a nonzero integer, exactly the components whose d holds the
-    full power of each of those primes.  Of these only d = k fails d | k/q
-    for the last prime q, so v is 0 mod Phi_k if and only if the result w
-    has x^(k/q) w = w: it is (k/q)-periodic.  Each step is one pass of
-    integer orbit sums, and for a prime power k only the periodicity test is
-    left: the classical description of vanishing sums of roots of unity.
-    """
-    k = len(vec)
-    *rest, last = [q for q, _ in _factorize(k)]
-    for q in rest:
-        d = k // q
-        orbits = [sum(vec[r::d]) for r in range(d)] * q
-        vec = [q * c - s for c, s in zip(vec, orbits)]
-    d = k // last
-    return vec[d:] == vec[:-d]
 
 
 class CyclotomicElement:

@@ -461,7 +461,8 @@ class TestRuntimeImports:
     # The double-precision commands load no exact layer: the integer helpers
     # they share with it live in arith.
     FLOAT = BASE | {"expsums.arith", "expsums.floating"}
-    SWEEPS = FLOAT | {"expsums.exact", "expsums.exp_sums"}
+    # A passing exact sweep is integer code: no exact layer, no Fraction.
+    SWEEPS = FLOAT | {"expsums.exp_sums"}
     CLOSED_FORMS = BASE | {"expsums.arith", "expsums.exact", "expsums.power_sums"}
     DIRICHLET = BASE | {"expsums.arith", "expsums.dirichlet"}
 
@@ -487,9 +488,10 @@ class TestRuntimeImports:
         assert package == expected
         # No record needs dataclasses (and its inspect), no run without
         # --json needs json, and enumeration, the character table and the
-        # floating sweep build no Fraction; the L-series weights do.
+        # passing sweeps build no Fraction; the L-series weights do.
         assert not stdlib & {"dataclasses", "inspect", "json"}
-        if argv[:1] in (["compositions"], ["characters"]) or "--float" in argv:
+        if argv[:1] in (["compositions"], ["characters"]) or argv[1:2] in (
+                ["prop1"], ["eq3"], ["coeffs"]):
             assert "fractions" not in stdlib
         if argv[1:2] == ["alkan"]:
             assert "fractions" in stdlib
@@ -510,7 +512,37 @@ class TestRuntimeImports:
         # The watch list is live: a run that writes JSON shows json in it.
         package, stdlib = self.footprint(["verify", "coeffs", "--pmax", "3", "--json"])
         assert package == self.SWEEPS
-        assert "json" in stdlib and not stdlib & {"dataclasses", "inspect"}
+        assert "json" in stdlib and not stdlib & {"dataclasses", "fractions", "inspect"}
+
+    # A failing exact sweep, with helpers' "flip-r1-sign" binomial patched
+    # over exp_sums.binomial, in a fresh interpreter.
+    FAILING = (
+        "import math, sys\n"
+        "from expsums import exp_sums\n"
+        "from expsums.cli import main\n"
+        "exp_sums.binomial = lambda n, r: -math.comb(n, r) if r == 1 else math.comb(n, r)\n"
+        "status = main(sys.argv[1:])\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'expsums'),"
+        " file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+
+    # The stdout digests are those tests/test_cli_contract.py pins for the
+    # same perturbation and argv.
+    @pytest.mark.parametrize("argv, digest", [
+        ("verify prop1 --exact --pmax 6 --kmax 14",
+         "2bcd28fbb4e367266cf19057182d3ed673b84c06cd62a98733a9ea9f56951568"),
+        ("verify eq3 --pmax 6 --kmax 14",
+         "089d270b7faa6d4f6218419d7a2e34556606cb5606dbdff513a0a8cb608d44b8"),
+    ], ids=["prop1", "eq3"])
+    def test_failing_sweep_loads_the_exact_layer_cold(self, argv, digest):
+        # The exact layer is imported inside exp_sums only to wrap a FAIL
+        # residue for printing, and the report is the contract's, byte for byte.
+        proc = subprocess.run([sys.executable, "-c", self.FAILING, *argv.split()],
+                              capture_output=True, env=cli_env())
+        assert proc.returncode == 1, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+        assert set(proc.stderr.decode().split()) == self.SWEEPS | {"expsums.exact"}
 
 
 class TestPrintSweep:

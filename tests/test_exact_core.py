@@ -19,7 +19,7 @@ from expsums import (
     poly_coefficient,
     polynomial_from_points,
 )
-from expsums.exact import _is_zero_mod_phi
+from expsums.exp_sums import _is_zero_mod_phi
 from helpers import (
     brute_totient,
     lagrange_cubic,

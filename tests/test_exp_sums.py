@@ -364,18 +364,34 @@ def _prop1_grid(pmax, kmax):
 
 class TestClassVector:
     def test_gather_equals_the_scatter_for_every_frequency(self):
-        # Each table entry s lands on x^(e*s mod k), e = -m and +m; the
-        # constant on x^0.  Units m are gathered, the rest scattered.
+        # Each entry s of the two tables lands on x^(e*s mod k), e = -m and
+        # +m; the constant on x^0.  The kernel places the one summed table
+        # D(t) = A(-t mod k) + B(t) at +m: gathered for units m, scattered
+        # for the rest.
         rng = random.Random(2201)
         for k in range(2, 41):
             weights = tuple([rng.randint(-10**9, 10**9) for _ in range(k)] for _ in "-+")
             constant = rng.randint(-10**9, 10**9)
+            summed = [weights[0][-t % k] + weights[1][t] for t in range(k)]
             for m in range(k):
                 want = [constant] + [0] * (k - 1)
                 for e, table in zip((-m, m), weights):
                     for s in range(1, k):
                         want[e * s % k] += table[s]
-                assert exp_sums._class_vector(k, constant, weights, m) == want, (k, m)
+                assert exp_sums._class_vector(k, constant, summed, m) == want, (k, m)
+
+    def test_summed_table_reads_each_side_at_its_frequency(self):
+        # The builder evaluates A at -t mod k and B at t, by Horner's scheme
+        # on the coefficient lists; an empty list is the zero polynomial.
+        def value(coeffs, s):
+            return sum(c * s**i for i, c in enumerate(coeffs))
+
+        rng = random.Random(2202)
+        for k in range(2, 41):
+            minus, plus = ([rng.randint(-99, 99) for _ in range(rng.randint(0, 6))]
+                           for _ in "-+")
+            assert exp_sums._weights(minus, plus, k) == [
+                value(minus, -t % k) + value(plus, t) for t in range(k)], k
 
 
 class TestProp1TermwiseReference:
