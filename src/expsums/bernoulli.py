@@ -25,8 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from . import power_sums
-from .arith import bernoulli_oracle
+from .arith import bernoulli_oracle, binomial
 from .errors import ConsistencyError, _Record
 from .exact import Polynomial, _integer_numerators, _ratio, poly_coefficient
 from .power_sums import _odd_recurrence, faulhaber_polynomial
@@ -44,13 +43,13 @@ class RetrievalDetail(_Record):
 
 
 @lru_cache(maxsize=None)
-def _lower_form(j: int) -> tuple[list[int], int]:
+def _lower_form(j: int) -> tuple[tuple[int, ...], int]:
     """h(j, .) as integer numerators over one denominator, cleared once: from
     the step whose p is j (odd j) or, by the derivative rule, from h(j+1, .)."""
     if j % 2:
         return _integer_numerators(retrieve_bernoulli_detail(max(j - 1, 1)).recurrence_poly.coeffs)
     nums, den = _lower_form(j + 1)
-    return [i * c for i, c in enumerate(nums) if i], den * (j + 1)
+    return tuple([i * c for i, c in enumerate(nums) if i]), den * (j + 1)
 
 
 def _retrieved(j: int) -> Fraction:
@@ -86,10 +85,11 @@ def retrieve_bernoulli_detail(n: int) -> RetrievalDetail:
             raise ConsistencyError(f"retrieval of B_{n}: the recurrence fails at degree 2")
         c[2] = -s[1] * f
     recurrence_poly = Polynomial((_ratio(x, den * f) for x in c), var="k")
-    # B_n enters Faulhaber's form at this degree only, with weight (-1)^n C(p+1, n)/(p+1);
-    # the binomial is read through power_sums, like those of both closed forms.
+    # B_n enters Faulhaber's form at this degree only, with weight (-1)^n C(p+1, n)/(p+1).
+    # The binomial is arith's, not the binding both closed forms read: a wrong binomial
+    # there would cancel out of the solved value, which for n = 1 no other coefficient checks.
     degree = p - n + 1
-    weight = Fraction((-1) ** n * power_sums.binomial(p + 1, n), p + 1)
+    weight = Fraction((-1) ** n * binomial(p + 1, n), p + 1)
     value = poly_coefficient(recurrence_poly, degree) / weight
     closed_form_poly = faulhaber_polynomial(p, lambda j: value if j == n else _retrieved(j))
     if closed_form_poly != recurrence_poly:

@@ -12,9 +12,9 @@ per call for every remainder of at most ``CACHE_DEPTH`` units; it renders
 rows as part tuples or, for the CLI, as text.  The chains are the subsets of
 the interval from ``itertools.combinations``, each in descending order.  The
 public ``enumerate_*`` functions build lists of validated objects.  The
-brute-force coefficient walks the same blocks as part tuples and multiplies
-one product per prefix into one per row.  Only the coefficient functions use
-``fractions``, and they import it, so enumeration does not load it.
+brute-force coefficient sums one product per composition of ``_part_tuples``,
+the same walk.  Only the coefficient functions use ``fractions``, and they
+import it, so enumeration does not load it.
 """
 
 from __future__ import annotations
@@ -239,10 +239,7 @@ def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
     With u_i = N_i / D over the lcm D of the denominators of u_1..u_n, a
     composition with m parts contributes prod N_part / D^m: the integer
     products are summed per part count m, and the buckets are combined over
-    D^n once at the end.  The compositions come from ``_blocks``, whose rows
-    depend only on the remainder r a prefix leaves: their products are
-    formed once per r, by part count, and each composition's product is its
-    prefix's times one of them.
+    D^n once at the end.
     """
     from fractions import Fraction
 
@@ -258,18 +255,7 @@ def gessel_coefficient_bruteforce(u: Sequence[Scalar], n: int) -> Fraction:
     from .exact import _integer_numerators
 
     nums, den = _integer_numerators(_padded(u, n)[:n])
-    # tails[r][j]: the products of the rows with j parts that follow a prefix
-    # leaving r units.
-    tails: dict[int, list[list[int]]] = {}
     buckets = [0] * (n + 1)
-    for group in _blocks(n, None, (), lambda a: (a,), (), ()):
-        for prefix, rows in group:
-            r = n - sum(prefix)
-            if r not in tails:
-                tails[r] = [[] for _ in range(r + 1)]
-                for row in rows:
-                    tails[r][len(row)].append(math.prod(nums[a - 1] for a in row))
-            prod = math.prod(nums[a - 1] for a in prefix)
-            for j, tail in enumerate(tails[r]):
-                buckets[len(prefix) + j] += sum(map(prod.__mul__, tail))
+    for parts in _part_tuples(n):
+        buckets[len(parts)] += math.prod(nums[a - 1] for a in parts)
     return Fraction(sum(b * den ** (n - m) for m, b in enumerate(buckets)), den**n)

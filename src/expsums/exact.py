@@ -36,10 +36,10 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
-def _integer_numerators(coeffs: Sequence[Scalar]) -> tuple[list[int], int]:
-    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
+def _integer_numerators(coeffs: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of ``coeffs``, as a tuple, over the lcm of their denominators."""
     den = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    return tuple([c.numerator * (den // c.denominator) for c in coeffs]), den
 
 
 def _ratio(num: int, den: int) -> Scalar:

@@ -7,8 +7,8 @@ symbolic closed-form polynomials in k.  All agree exactly; h(p, 0) = 0 and
 0^0 = 1 by convention.  The recurrence runs Horner's scheme in (k+1) on
 integer numerators over one denominator, as shift-adds, and reduces each
 output coefficient once; closed forms are evaluated the same way, with one
-division at the end.  ``h_polynomial`` memoises one closed form per exponent,
-and ``_h_numerators`` its integer numerators.
+division at the end.  ``_h_numerators`` memoises the integer numerators of
+one closed form per exponent; ``h_polynomial`` builds a form on each call.
 
 ``h_polynomial`` and ``h_faulhaber`` take their B_j from the tangent-number
 oracle ``arith.bernoulli_oracle``, read through this module's binding; the
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Callable
+from typing import Callable, Sequence
 
 from .arith import bernoulli_oracle, binomial
 from .errors import ConsistencyError, ParityError
@@ -53,7 +53,7 @@ def faulhaber_polynomial(p: int, bern: Callable[[int], Fraction]) -> Polynomial:
 
 
 def _odd_recurrence(p: int,
-                    lower: Callable[[int], tuple[list[int], int]]) -> tuple[list[int], int]:
+                    lower: Callable[[int], tuple[Sequence[int], int]]) -> tuple[list[int], int]:
     """The closed form of ``odd_recurrence_polynomial`` as (nums, den): the
     coefficient of k^i is nums[i] / den, nothing reduced.
 
@@ -86,7 +86,6 @@ def odd_recurrence_polynomial(p: int, lower: Callable[[int], Polynomial]) -> Pol
     return Polynomial((_ratio(c, den) for c in nums), var="k")
 
 
-@lru_cache(maxsize=None)
 def h_polynomial(p: int) -> Polynomial:
     """Closed-form polynomial for h(p, .): degree p+1, leading coefficient
     1/(p+1), zero constant term.
@@ -104,7 +103,7 @@ def h_polynomial(p: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _h_numerators(p: int) -> tuple[list[int], int]:
+def _h_numerators(p: int) -> tuple[tuple[int, ...], int]:
     """``h_polynomial(p)`` as integer numerators over one denominator, cleared
     once per exponent."""
     return _integer_numerators(h_polynomial(p).coeffs)

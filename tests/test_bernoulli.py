@@ -217,7 +217,7 @@ class TestTable:
 
 class TestRetrievalOwnClosedForms:
     def test_retrieval_never_reads_oracle_closed_forms(self, cold_closed_forms, monkeypatch):
-        # Fill h_polynomial's memo from a deliberately wrong oracle: retrieval
+        # Fill the closed-form memo from a deliberately wrong oracle: retrieval
         # builds its own lower forms, and if it read these polynomials its
         # solved values or its coefficient check would break.
         monkeypatch.setattr(power_sums, "bernoulli_oracle",
@@ -277,6 +277,14 @@ class TestRetrievalOwnClosedForms:
             bernoulli._lower_form(j)
         assert bernoulli._lower_form.cache_info().misses == 29
 
+    def test_memos_hand_out_immutable_numerators(self, cold_closed_forms):
+        # Every caller of a memo shares the value it returns, so no caller may
+        # be able to change it for the next.  h_polynomial keeps no memo.
+        for form in (power_sums._h_numerators(4), power_sums._h_numerators(5),
+                     bernoulli._lower_form(4), bernoulli._lower_form(5)):
+            assert type(form[0]) is tuple
+        assert not hasattr(h_polynomial, "cache_info")
+
 
 class TestGatesCanFail:
     def test_flipped_binomial_breaks_retrieval(self, cold_closed_forms, monkeypatch):
@@ -288,10 +296,13 @@ class TestGatesCanFail:
             retrieve_bernoulli(2)
         with pytest.raises(ConsistencyError):
             bernoulli_table(8)
-        # At n = 1 the solved coefficient is the only one, and the flip cancels
-        # out of it: retrieval returns the true polynomials and +1/2, so only
-        # the table's oracle cross-check can refuse.
-        with pytest.raises(ConsistencyError, match="B_1 = 1/2 disagrees with the oracle"):
+        # At n = 1 the solved coefficient is the only one.  The weight it is
+        # divided by takes arith's binomial, so the flip does not cancel out of
+        # the value, and retrieval refuses before the table's oracle could.
+        message = r"^retrieval of B_1: polynomials disagree beyond the solved coefficient$"
+        with pytest.raises(ConsistencyError, match=message):
+            retrieve_bernoulli(1)
+        with pytest.raises(ConsistencyError, match=message):
             bernoulli_table(1)
 
     def test_wrong_earlier_value_is_refused_later(self, cold_closed_forms, monkeypatch):
@@ -318,7 +329,7 @@ class TestGatesCanFail:
             nums, den = original(j)
             if j != wrong:
                 return nums, den
-            nums = nums + [0] * (d + 1 - len(nums))
+            nums = list(nums) + [0] * (d + 1 - len(nums))
             return nums[:d] + [nums[d] + den] + nums[d + 1:], den
 
         monkeypatch.setattr(bernoulli, "_lower_form", perturbed)

@@ -391,7 +391,7 @@ class TestGatesCanFail:
         status, out, err = run(capsys, "bernoulli", "--table", "8")
         assert status == 1
         assert out == ""
-        assert err == ("error: retrieval of B_2: polynomials disagree beyond the "
+        assert err == ("error: retrieval of B_1: polynomials disagree beyond the "
                        "solved coefficient\n")
 
     def test_non_integer_power_sum_is_one_error_line(self, capsys, monkeypatch):

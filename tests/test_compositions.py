@@ -168,9 +168,12 @@ class TestGessel:
         assert gessel_coefficient_bruteforce([], 0) == 1
 
     def test_inverse_exponential(self):
-        # (1 + sum x^i/i!)^(-1) = e^(-x): coefficient of x^3 is -1/6.
-        assert gessel_coefficient_series(_inverse_factorials(3), 3) == Fraction(-1, 6)
-        assert gessel_coefficient_bruteforce(_inverse_factorials(3), 3) == Fraction(-1, 6)
+        # (1 + sum x^i/i!)^(-1) = e^(-x): coefficient of x^n is (-1)^n/n!, here
+        # at n = 3 and at the brute force's guard cap, 2^19 compositions.
+        for n in (3, 20):
+            expected = Fraction((-1) ** n, math.factorial(n))
+            assert gessel_coefficient_series(_inverse_factorials(n), n) == expected
+            assert gessel_coefficient_bruteforce(_inverse_factorials(n), n) == expected
 
     def test_all_ones_counts_compositions(self):
         assert gessel_coefficient_series([1] * 4, 4) == 8
