@@ -1,12 +1,12 @@
-"""Integer arithmetic shared by the exact and the double-precision layers:
-binomial and multinomial coefficients, prime factorization, the Bernoulli
-oracle with the tangent numbers it reads, and the "a/b" wire format of exact
-rationals.
+"""Arithmetic shared by the exact and the double-precision layers: binomial
+and multinomial coefficients, prime factorization, the Bernoulli oracle with
+the tangent numbers it reads, the "a/b" wire format of exact rationals, and
+``_roots``, the one table of roots of unity every double-precision sum reads.
 
-The module imports nothing from the package, and ``fractions`` loads only in
-the functions that build a ``Fraction`` (the oracle and the wire format), so a
-command that needs only binomials and factorizations, such as ``characters``
-or the floating prop1 sweep, loads neither the exact layer nor ``fractions``.
+The module imports nothing from the package, and ``fractions`` and ``cmath``
+load only in the functions that use them, so a command that needs only
+binomials, factorizations and roots, such as ``characters`` or the floating
+prop1 sweep, loads neither the exact layer nor ``fractions``.
 
 ``bernoulli_oracle`` reads even-index B_n off the tangent number T_(n/2),
 B_n = (-1)^(n/2-1) n T_(n/2) / (2^n (2^n - 1)), and grows the tangent
@@ -55,6 +55,21 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
         out *= math.comb(remaining, p)
         remaining -= p
     return out
+
+
+# Unit roundoff of IEEE double precision.
+_U = 2.0**-53
+# Error of one table root, in units of _U: its angle 2 pi (t/n) carries three
+# roundings of a value below 2 pi (at most 19 _U), cos and sin one ulp each.
+_ROOT_ERR = 24
+
+
+@lru_cache(maxsize=64)
+def _roots(n: int) -> tuple[complex, ...]:
+    """The n-th roots of unity e^(2 pi i t/n), t < n, each within _ROOT_ERR _U."""
+    import cmath
+
+    return tuple(cmath.rect(1.0, 2.0 * math.pi * (t / n)) for t in range(n))
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:

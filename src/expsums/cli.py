@@ -172,14 +172,14 @@ def _cmd_compositions(args) -> int:
 
 
 def _cmd_characters(args) -> int:
-    from .dirichlet import _characters, _phase_units
+    from .dirichlet import _characters
 
     _cap(args.k, 1000, "--k")
     # Every value is 0j or an L-th root of unity, read off its phase, so
     # each root is formatted once and a row's strings are placed by phase.
     # Characters are written as the walk yields them, so no more than one
     # row is alive.
-    units, roots = _phase_units(args.k)
+    units, roots, walk = _characters(args.k)
     texts = list(map(_fmt_complex, roots))
     blank = [_fmt_complex(0j)] * args.k
 
@@ -196,7 +196,7 @@ def _cmd_characters(args) -> int:
         # bytes equal one json.dumps of the whole list without building it.
         out = sys.stdout
         out.write("[")
-        for c, phase in _characters(args.k):
+        for c, phase in walk:
             out.write((", " if c.index else "") + json.dumps({
                 "conductor": c.conductor,
                 "index": c.index,
@@ -209,7 +209,7 @@ def _cmd_characters(args) -> int:
         out.write("]\n")
     else:
         print(f"{len(units)} characters mod {args.k}")
-        for c, phase in _characters(args.k):
+        for c, phase in walk:
             flags = [c.parity, "principal" if c.principal else "non-principal",
                      f"conductor {c.conductor}",
                      "primitive" if c.primitive else "imprimitive"]

@@ -4,9 +4,9 @@ the identity tying L(r, chi) to Bernoulli-weighted moments of Gauss sums.
 
 Characters are stored as explicit value tables (complex doubles, zero off the
 units); the unit group is decomposed into cyclic components so enumeration is
-deterministic.  Every root of unity is read from one table per order n,
-``cmath.rect(1, 2 pi t/n)``: a character value at the integer phase t mod L =
-lcm(component orders), a frequency root at t = a*s mod k.  Each table is
+deterministic.  Every root of unity is read from the package's one table
+per order n, ``arith._roots``: a character value at the integer phase t mod
+L = lcm(component orders), a frequency root at t = a*s mod k.  Each table is
 computed once per orbit: one walk, ``_characters``, yields every character
 with its phases over the units, each its exponent prefix's phases plus one
 column, one add per unit, and reads its values off them; the CLI formats one
@@ -28,21 +28,14 @@ bits on 3.10 through 3.13.  From the package it imports only ``errors`` and
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import types
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
-from .arith import _factorize, bernoulli_oracle, binomial
+from .arith import _ROOT_ERR, _U, _factorize, _roots, bernoulli_oracle, binomial
 from .errors import ConsistencyError, DivergenceError, _Record
-
-# Unit roundoff of IEEE double precision.
-_U = 2.0**-53
-# Error of one table root, in units of _U: its angle 2 pi (t/n) carries three
-# roundings of a value below 2 pi (at most 19 _U), cos and sin one ulp each.
-_ROOT_ERR = 24
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -79,7 +72,6 @@ class UnitGroupStructure(_Record):
     dlog: Mapping[int, tuple[int, ...]]
 
 
-@lru_cache(maxsize=None)
 def unit_group_structure(k: int) -> UnitGroupStructure:
     """Decompose (Z/kZ)* via the prime-power factorization of k.
 
@@ -145,12 +137,6 @@ class DirichletCharacter(_Record):
         return self.parity == "odd"
 
 
-@lru_cache(maxsize=64)
-def _roots(n: int) -> tuple[complex, ...]:
-    """The n-th roots of unity e^(2 pi i t/n), t = 0..n-1."""
-    return tuple(cmath.rect(1.0, 2.0 * math.pi * (t / n)) for t in range(n))
-
-
 def _phase_tables(columns: list[tuple[int, list[int]]], order_lcm: int, size: int):
     """Every exponent tuple t with its phase table, t in lexicographic order.
 
@@ -171,58 +157,56 @@ def _phase_tables(columns: list[tuple[int, list[int]]], order_lcm: int, size: in
     return walk((), [0] * size)
 
 
-def _phase_units(k: int) -> tuple[list[int], tuple[complex, ...]]:
-    """The units mod k in the order of every phase table, and the value of
-    each phase t: e^(2 pi i t/L), L = lcm(component orders)."""
-    st = unit_group_structure(k)
-    return list(st.dlog), _roots(math.lcm(*st.orders))
+def _characters(k: int) -> tuple[list[int], tuple[complex, ...],
+                                  Iterator[tuple[DirichletCharacter, list[int]]]]:
+    """(units, roots, walk): the units mod k, the value e^(2 pi i t/L) of each
+    phase t, L = lcm(component orders), and a walk over the characters mod k,
+    in the order of ``enumerate_characters``, that yields each with its
+    phases: its value at units[i] is roots[phase[i]], zero off the units.  The
+    phase lists are the walk's own, and one may serve several: read them only.
 
-
-def _characters(k: int) -> Iterator[tuple[DirichletCharacter, list[int]]]:
-    """Each character mod k, in the order of ``enumerate_characters``, with
-    its phases: with (units, roots) = ``_phase_units(k)``, its value at
-    units[i] is roots[phase[i]], and it is zero off the units.  The phase
-    lists are the walk's own, and one may serve several characters: read
-    them only.
-
-    With L = lcm(orders), the character with exponents t sends the unit with
-    discrete logs v to e^(2 pi i n/L), n = sum_i t_i v_i L/o_i mod L.  Its
-    conductor is the least d | k such that every unit u = 1 mod d has n = 0.
+    The character with exponents t sends the unit with discrete logs v to
+    e^(2 pi i n/L), n = sum_i t_i v_i L/o_i mod L.  Its conductor is the
+    least d | k such that every unit u = 1 mod d has n = 0.
     """
     st = unit_group_structure(k)
-    units, roots = _phase_units(k)
+    units, roots = list(st.dlog), _roots(math.lcm(*st.orders))
     order_lcm = len(roots)
     columns = [(o, [order_lcm // o * logs[i] for logs in st.dlog.values()])
                for i, o in enumerate(st.orders)]
     kernels = [(d, [i for i, u in enumerate(units) if u % d == 1 % d])
                for d in range(1, k + 1) if k % d == 0]
     minus_one = units.index((k - 1) % k)
-    for index, (exps, phase) in enumerate(_phase_tables(columns, order_lcm, len(units))):
-        parity_phase = phase[minus_one]
-        if 2 * parity_phase % order_lcm:
-            raise ConsistencyError(f"character value at -1 is not a square root of 1: "
-                                   f"phase {parity_phase}/{order_lcm}")
-        conductor = next(d for d, kernel in kernels if not any(phase[i] for i in kernel))
-        values = [0j] * k
-        for u, n in zip(units, phase):
-            values[u] = roots[n]
-        chi = DirichletCharacter(
-            modulus=k,
-            index=index,
-            exponents=exps,
-            values=tuple(values),
-            parity="odd" if parity_phase else "even",
-            principal=all(t == 0 for t in exps),
-            conductor=conductor,
-            primitive=conductor == k,
-        )
-        yield chi, phase
+
+    def walk() -> Iterator[tuple[DirichletCharacter, list[int]]]:
+        for index, (exps, phase) in enumerate(_phase_tables(columns, order_lcm, len(units))):
+            parity_phase = phase[minus_one]
+            if 2 * parity_phase % order_lcm:
+                raise ConsistencyError(f"character value at -1 is not a square root of 1: "
+                                       f"phase {parity_phase}/{order_lcm}")
+            conductor = next(d for d, kernel in kernels if not any(phase[i] for i in kernel))
+            values = [0j] * k
+            for u, n in zip(units, phase):
+                values[u] = roots[n]
+            chi = DirichletCharacter(
+                modulus=k,
+                index=index,
+                exponents=exps,
+                values=tuple(values),
+                parity="odd" if parity_phase else "even",
+                principal=all(t == 0 for t in exps),
+                conductor=conductor,
+                primitive=conductor == k,
+            )
+            yield chi, phase
+
+    return units, roots, walk()
 
 
 def enumerate_characters(k: int) -> list[DirichletCharacter]:
     """All characters mod k, ordered by generator exponent tuple (principal
     first); the count equals the number of units."""
-    return [chi for chi, _ in _characters(k)]
+    return [chi for chi, _ in _characters(k)[2]]
 
 
 def gauss_sum(j: int, chi: DirichletCharacter) -> complex:

@@ -141,9 +141,10 @@ def _class_vector(k: int, constant: int, table: Sequence[int], m: int) -> list[i
     return vec
 
 
-def _is_zero_mod_phi(vec: list[int]) -> bool:
+def _is_zero_mod_phi(vec: list[int], primes: Sequence[int]) -> bool:
     """Whether the element of Z[x]/(x^k - 1) with coefficient list ``vec``
-    (k = len(vec) >= 2) is divisible by Phi_k, without dividing.
+    (k = len(vec) >= 2, with prime divisors ``primes``, ascending) is
+    divisible by Phi_k, without dividing.
 
     Q[x]/(x^k - 1) is the product of the fields Q(zeta_d), d | k, and v is 0
     mod Phi_k when its d = k component vanishes.  For a prime q | k,
@@ -157,7 +158,7 @@ def _is_zero_mod_phi(vec: list[int]) -> bool:
     left: the classical description of vanishing sums of roots of unity.
     """
     k = len(vec)
-    *rest, last = [q for q, _ in _factorize(k)]
+    *rest, last = primes
     for q in rest:
         d = k // q
         orbits = [sum(vec[r::d]) for r in range(d)] * q
@@ -257,13 +258,14 @@ def run_prop1_exact(pmax: int, kmax: int) -> SweepResult:
     _require_pk(pmax, kmax)
     cases = 0
     failures = []
+    primes = {k: [q for q, _ in _factorize(k)] for k in range(2, kmax + 1)}
     for p in range(1, pmax + 1):
         for k in range(2, kmax + 1):
             table, constant = _prop1_weights(p, k), k**p
             failing = {}
             for mm in range(1, k):
                 vec = _class_vector(k, constant, table, mm)
-                if not _is_zero_mod_phi(vec):
+                if not _is_zero_mod_phi(vec, primes[k]):
                     failing[mm] = _cyclotomic(k, vec).residue
             cases += 3 * (k - 1)
             if failing:

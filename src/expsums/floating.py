@@ -12,28 +12,27 @@ in double precision; ``exp_sums`` checks it, and the rest of the paper's
 identities, exactly.
 
 The floating sums share one kernel, ``_power_sums_complex``: the sums for
-every exponent 0..P at one frequency class mod k, in one pass over s, from
-the class's representative of smallest angle.  The floating prop1 residual
-reads f from the table at -m and g from the one at +m.  Because the weights
-s^j are real, f is the complex conjugate of g, and the kernel rounds the
-same way: under e -> -e the angle of w is negated exactly, libm's cos is
-even and its sin odd, and the complex products, the scaling by s and the
-adds each negate an imaginary part exactly when their inputs' imaginary
-parts are negated.  So the table at -e is the element-wise conjugate of the
-one at +e, entry for entry (only the sign of a zero may differ).  The sweep
-therefore sums only the classes e = 1 and floor(k/2) of each k and reads -1
-and -floor(k/2) as their conjugates; for even k the frequencies +-k/2 are
-one class, read as it is.  ``exp_power_sum_complex`` and
-``prop1_residual_complex`` sum both signs themselves.  The binomials come
-from this module's ``binomial`` at call time.
+every exponent 0..P at one frequency class e mod k, in one pass over s, each
+root read from the package's root table ``arith._roots(k)`` at e*s mod k,
+which the Dirichlet sums read too.  Because the weights s^j are real, the
+exact sums at -e are the conjugates of those at +e, so a class with 2e > k
+is read as the conjugate of the class k - e, and a class with 2e = k is
+summed as it is.  The sweep sums the classes e = 1 and floor(k/2) of each k
+and reads -1 and -floor(k/2) as their conjugates, as the kernel would.
+
+Each computed sum lies within an a-priori bound of the exact one, built
+from the paper's power sums h(j, k-1) = sum_{s<k} s^j (``_table_bounds``),
+and so does the prop1 residual (``_prop1_bound``): the sweep passes a case
+only when its residual is within that bound E and ``float_tolerance_ok``.
+E depends on (p, k) alone, so one E serves the three frequencies of a case.
+The binomials come from this module's ``binomial`` at call time.
 """
 
 from __future__ import annotations
 
-import cmath
 from typing import NamedTuple, Sequence
 
-from .arith import binomial
+from .arith import _ROOT_ERR, _U, _roots, binomial
 from .errors import PreconditionError, _Record
 
 
@@ -99,19 +98,19 @@ def _failure(case: str, detail: str) -> dict:
 def _power_sums_complex(P: int, k: int, e: int) -> list[complex]:
     """sum_{s=1}^{k-1} s^j exp(2 pi i e s / k) for j = 0..P, in one pass over s.
 
-    The sums depend on e only mod k; e is taken as its representative in
-    [-k//2, k - k//2), so every frequency of one class gives the same numbers,
-    from the smallest angle.
+    The sums depend on e only mod k, and a class with 2e > k returns the
+    conjugate of the class k - e, so both signs of a frequency give the same
+    numbers up to conjugation.
     """
-    e = (e + k // 2) % k - k // 2
-    w = cmath.exp(2j * cmath.pi * e / k)
+    e %= k
+    if 2 * e > k:
+        return [z.conjugate() for z in _power_sums_complex(P, k, k - e)]
+    roots, exponents = _roots(k), range(P + 1)
     sums = [0j] * (P + 1)
-    ws = 1 + 0j
     for s in range(1, k):
-        ws *= w
-        term = ws
+        term = roots[e * s % k]
         fs = float(s)
-        for j in range(P + 1):
+        for j in exponents:
             sums[j] += term
             term *= fs
     return sums
@@ -127,6 +126,35 @@ class FloatResidual(NamedTuple):
 
     absolute: float
     relative: float
+
+
+def _table_bounds(k: int, h: Sequence[int]) -> list[int]:
+    """t(j), j = 0..len(h) - 2, from h[j] = h(j, k-1) = sum_{s<k} s^j: sum j of a
+    kernel table at modulus k, or its conjugate, is within _U t(j) of exact."""
+    # The root read at s is within R _U of exact, R = _ROOT_ERR, and its j
+    # products by s put the term within (R + j) _U s^j; partial sum s rounds
+    # within _U h(j, s), and sum_{s<k} h(j, s) = k h(j, k-1) - h(j+1, k-1).
+    return [(_ROOT_ERR + j + k) * h[j] - h[j + 1] for j in range(len(h) - 1)]
+
+
+def _prop1_bound(p: int, k: int, signed: Sequence[int], h: Sequence[int],
+                 t: Sequence[int]) -> float:
+    """A bound E on the rounding error of ``_prop1_residual_float``'s absolute
+    residual at (p, k), whatever m, from the signed binomials it reads,
+    h[j] = h(j, k-1) and t = ``_table_bounds(k, h)``; first order in _U, like
+    the package's other bounds on rounding."""
+    # f(p) is within _U t(p).  Term a of the right-hand side is C k^a g(p-a),
+    # |g(p-a)| <= h(p-a, k-1): float(k)^a is within one ulp (2 _U), and C's
+    # conversion to a double (exact below 2^53), its product with k^a and the
+    # product with g are within one _U each, so c = 5.  The -k^p term is
+    # within 2 _U k^p, and each of the p adds within _U of a partial sum, at
+    # most k^p + sum_a |C| k^a h(p-a, k-1).  The last subtraction and abs
+    # round the residual itself: second order.  In all,
+    # E = _U (t(p) + (p + 2) k^p + sum_a |C| k^a (t(p-a) + (p + c) h(p-a, k-1))).
+    error = t[p] + (p + 2) * k**p
+    for a in range(p):
+        error += abs(signed[a]) * k**a * (t[p - a] + (p + 5) * h[p - a])
+    return error * _U
 
 
 def _signed_binomials(p: int) -> list[int]:
@@ -166,34 +194,38 @@ def float_tolerance_ok(res: FloatResidual, p: int, k: int, rel_tol: float = 1e-8
 
 
 def run_prop1_float(pmax: int, kmax: int, tol: float = 1e-8) -> SweepResult:
-    """Floating sweep over m in {1, k-1, floor(k/2)}.
+    """Floating sweep over m in {1, k-1, floor(k/2)}; a case passes when its
+    residual is within E (``_prop1_bound``) and ``float_tolerance_ok`` holds.
 
-    The sums for exponents 0..pmax are built once per frequency class
-    (k, e mod k), e = 1 and floor(k/2), and shared by every p and by both
-    signs that name the class; the class -e, when it is another one, reads
-    the conjugate table (see the module docstring).  The signed binomials are
-    built once per p, the powers of k once per k.
+    The sums for exponents 0..pmax are built once per class e = 1 and
+    floor(k/2) of each k, shared by every p, and read at -e as their
+    conjugates, as the kernel reads them.  The signed binomials are built
+    once per p, the powers of k and h(j, k-1) once per k, E per (p, k).
     """
     _require_pk(pmax, kmax)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     cases = 0
     failures = []
-    tables = {}
+    tables, powers, sums = {}, {}, {}
+    h = [0] * (pmax + 2)
     for k in range(2, kmax + 1):
+        h = [hj + (k - 1) ** j for j, hj in enumerate(h)]
+        sums[k] = h, _table_bounds(k, h)
+        powers[k] = _float_powers(k, pmax)
         for e in {1, k // 2}:
             tables[k, e] = table = _power_sums_complex(pmax, k, e)
             if 2 * e != k:
                 tables[k, k - e] = [z.conjugate() for z in table]
-    powers = {k: _float_powers(k, pmax) for k in range(2, kmax + 1)}
     for p in range(1, pmax + 1):
         signed = _signed_binomials(p)
         for k in range(2, kmax + 1):
+            bound = _prop1_bound(p, k, signed, *sums[k])
             for m in sorted({1, k // 2, k - 1}):
                 cases += 1
                 res = _prop1_residual_float(p, signed, powers[k],
                                             tables[k, -m % k], tables[k, m % k])
-                if not float_tolerance_ok(res, p, k, tol):
+                if not (float_tolerance_ok(res, p, k, tol) and res.absolute <= bound):
                     failures.append(_failure(f"p={p} k={k} m={m}",
                                              f"abs={res.absolute:.3e} rel={res.relative:.3e}"))
     return SweepResult("prop1-float", cases, tuple(failures))

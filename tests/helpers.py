@@ -380,15 +380,19 @@ def characters_renderings(k: int) -> tuple[str, str]:
     return "\n".join(lines) + "\n", json.dumps(records, sort_keys=True) + "\n"
 
 
-def shifted_phase_column(walk, position: int):
+def shifted_phase_column(characters, position: int):
     """``dirichlet._characters`` with every character's phase at the unit in
     ``position`` raised by one mod L: a perturbed column of the phase walk."""
     def perturbed(k):
-        order_lcm = len(dirichlet._phase_units(k)[1])
-        for chi, phase in walk(k):
-            shifted = list(phase)
-            shifted[position] = (shifted[position] + 1) % order_lcm
-            yield chi, shifted
+        units, roots, walk = characters(k)
+
+        def shifted_walk():
+            for chi, phase in walk:
+                shifted = list(phase)
+                shifted[position] = (shifted[position] + 1) % len(roots)
+                yield chi, shifted
+
+        return units, roots, shifted_walk()
 
     return perturbed
 

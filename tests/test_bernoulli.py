@@ -305,6 +305,19 @@ class TestGatesCanFail:
         with pytest.raises(ConsistencyError, match=message):
             bernoulli_table(1)
 
+    def test_table_refuses_an_entry_the_oracle_disagrees_with(self, monkeypatch):
+        # The table's last gate compares every retrieved entry with the
+        # oracle: an oracle raised by 1/7 at B_4 alone must refuse B_4.
+        oracle = bernoulli.bernoulli_oracle
+
+        def raised_at_four(n):
+            return oracle(n) + (Fraction(1, 7) if n == 4 else 0)
+
+        monkeypatch.setattr(bernoulli, "bernoulli_oracle", raised_at_four)
+        with pytest.raises(ConsistencyError,
+                           match=r"^table entry B_4 = -1/30 disagrees with the oracle$"):
+            bernoulli_table(6)
+
     def test_wrong_earlier_value_is_refused_later(self, cold_closed_forms, monkeypatch):
         # B_4's own forms are right, but the closed form it is matched against
         # takes B_2 as retrieved: a wrong B_2 must refuse B_4.

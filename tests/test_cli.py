@@ -215,7 +215,7 @@ class TestCharacters:
             "36286874dba12a9066e07432ff1c72fac73b3006fcb00308e0ff6bcb42643e9b")
 
     def test_json_of_no_characters_is_an_empty_list(self, capsys, monkeypatch):
-        monkeypatch.setattr(dirichlet, "_characters", lambda k: iter(()))
+        monkeypatch.setattr(dirichlet, "_characters", lambda k: ([], (), iter(())))
         assert run(capsys, "characters", "--k", "5", "--json") == (0, "[]\n", "")
 
     def test_text_mode(self, capsys):

@@ -35,11 +35,11 @@ from helpers import (
 )
 
 
-def _assert_phase_walk(k, walk):
+def _assert_phase_walk(k, characters):
     # t(u) = phase[i] for u = units[i] reads chi(u) off the roots, and it is
     # additive on products (every unit against every generator and -1
     # covers every product).
-    units, roots = dirichlet._phase_units(k)
+    units, roots, walk = characters
     steps = [g % k for g in unit_group_structure(k).generators] + [(k - 1) % k]
     records = enumerate_characters(k)
     count = 0
@@ -518,13 +518,6 @@ UNIT_GROUP_MUTATIONS = [
 ]
 
 
-@pytest.fixture
-def cold_unit_groups():
-    unit_group_structure.cache_clear()
-    yield
-    unit_group_structure.cache_clear()
-
-
 def _checked(k, r, include_imprimitive=False, tol=1e-5):
     return [rep for rep in alkan_sweep(k, r, tol, include_imprimitive=include_imprimitive)
             if rep.status != "SKIPPED"]
@@ -601,8 +594,8 @@ class TestGatesCanFail:
 
     @pytest.mark.parametrize("name, fake, k, message", UNIT_GROUP_MUTATIONS,
                              ids=["order", "independence", "coverage"])
-    def test_perturbed_unit_group_fails_its_self_check(self, cold_unit_groups, monkeypatch,
-                                                       name, fake, k, message):
+    def test_perturbed_unit_group_fails_its_self_check(self, monkeypatch, name, fake, k,
+                                                       message):
         monkeypatch.setattr(dirichlet, name, fake)
         with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
             unit_group_structure(k)

@@ -1,6 +1,10 @@
 import cmath
+import hashlib
+import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +31,7 @@ from expsums import (
 )
 from helpers import (
     PERTURBED_BINOMIALS,
+    _decimal_root,
     chain_sum_reference,
     chains_without_the_empty_one,
     eq3_residual_termwise,
@@ -152,6 +157,102 @@ class TestProp1Float:
     def test_divisible_frequency_rejected(self):
         with pytest.raises(PreconditionError):
             prop1_residual_complex(2, 6, 12)
+
+
+def _sweep_residuals(monkeypatch, pmax, kmax):
+    """Every case of ``run_prop1_float(pmax, kmax)`` as (p, k, m, residual, E).
+
+    Each residual is recorded at the tolerance rule and made a failure, so
+    that its case label comes back beside it, and E is recorded as the sweep
+    builds it for its (p, k)."""
+    residuals, bounds = [], {}
+    bound = floating._prop1_bound
+
+    def record(res, p, k, rel_tol=1e-8):
+        residuals.append(res)
+        return False
+
+    def recorded_bound(p, k, *args):
+        bounds[p, k] = bound(p, k, *args)
+        return bounds[p, k]
+
+    monkeypatch.setattr(floating, "float_tolerance_ok", record)
+    monkeypatch.setattr(floating, "_prop1_bound", recorded_bound)
+    sweep = run_prop1_float(pmax, kmax)
+    assert len(sweep.failures) == len(residuals) == sweep.cases
+    cases = []
+    for failure, res in zip(sweep.failures, residuals):
+        p, k, m = (int(part.split("=")[1]) for part in failure["case"].split())
+        cases.append((p, k, m, res, bounds[p, k]))
+    return cases
+
+
+class TestProp1FloatBound:
+    def test_kernel_bound_holds_against_a_decimal_reference(self):
+        # Sum j of every class's table is within _U t(j) of the sum taken to
+        # 32 digits, and the worst error reaches a fair share of the bound
+        # (0.158, at k = 3, e = 2, j = 4).
+        worst = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 32
+            for k in range(2, 25):
+                h = [sum(s**j for s in range(1, k)) for j in range(14)]
+                t = floating._table_bounds(k, h)
+                for e in range(k):
+                    for j, z in enumerate(floating._power_sums_complex(12, k, e)):
+                        re, im = Decimal(z.real), Decimal(z.imag)
+                        for s in range(1, k):
+                            c, sn = _decimal_root(Fraction(e * s % k, k))
+                            re -= s**j * c
+                            im -= s**j * sn
+                        error = math.hypot(re, im)
+                        assert error <= t[j] * floating._U, (k, e, j)
+                        worst = max(worst, error / (t[j] * floating._U))
+        assert worst >= 0.01
+
+    def test_sweep_reads_the_power_sums(self, monkeypatch):
+        # E is built from h(j, k-1) = sum_{s<k} s^j, j = 0..pmax+1, which the
+        # sweep keeps as running sums over k.
+        seen = {}
+        bound = floating._prop1_bound
+
+        def recorded_bound(p, k, signed, h, t):
+            seen[k] = list(h)
+            return bound(p, k, signed, h, t)
+
+        monkeypatch.setattr(floating, "_prop1_bound", recorded_bound)
+        assert run_prop1_float(6, 40).ok
+        assert seen == {k: [sum(s**j for s in range(1, k)) for j in range(8)]
+                        for k in range(2, 41)}
+
+    def test_bound_holds_at_the_cap(self, monkeypatch):
+        # No residual up to the CLI caps exceeds E; the worst residual/E is
+        # 0.065, at (p, k, m) = (1, 3, 2), and the median 0.0042.
+        cases = _sweep_residuals(monkeypatch, 12, 512)
+        assert len(cases) == 18360
+        assert all(res.absolute <= bound for *_, res, bound in cases)
+
+    @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
+    def test_perturbed_residuals_exceed_the_bound(self, monkeypatch, perturbation):
+        # Up to the caps, every case that reads a perturbed binomial exceeds
+        # E: all of them without the a = 0 term, those with p >= 2 with C(p, 1)
+        # flipped (p = 1 reads no C(1, 1)).
+        monkeypatch.setattr(floating, "binomial", PERTURBED_BINOMIALS[perturbation])
+        cases = _sweep_residuals(monkeypatch, 12, 512)
+        exceeding = [(p, k, m) for p, k, m, res, bound in cases if res.absolute > bound]
+        if perturbation == "drop-a0-term":
+            assert len(exceeding) == len(cases) == 18360
+        else:
+            assert exceeding == [(p, k, m) for p, k, m, *_ in cases if p >= 2]
+
+    def test_bound_is_not_vacuous(self, monkeypatch):
+        # At every p, some residual with 64 <= k <= 128 reaches E/100: the
+        # least of these worst ratios is 0.0125, at p = 9.
+        cases = _sweep_residuals(monkeypatch, 12, 128)
+        for p in range(1, 13):
+            worst = max(res.absolute / bound for q, k, m, res, bound in cases
+                        if q == p and k >= 64)
+            assert worst > 0.01, p
 
 
 class TestEq3:
@@ -325,6 +426,14 @@ class TestSweeps:
             p, k, m = (int(part.split("=")[1]) for part in failure["case"].split())
             assert repr(res) == repr(prop1_residual_complex(p, k, m)), failure["case"]
 
+    def test_prop1_float_residuals_have_the_same_bits_on_every_interpreter(self, monkeypatch):
+        # Every residual of the sweep, recorded as above with its case label.
+        # The digest is that of CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
+        text = "".join(f"p={p} k={k} m={m} {res!r}\n"
+                       for p, k, m, res, _ in _sweep_residuals(monkeypatch, 12, 128))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3b0d4fc631f2c472b1246367c73df5bff763c6d8a93b09d1c8e4c21bfcbc0e3e")
+
     def test_prop1_float_kernel_runs_once_per_class(self, monkeypatch):
         # Only the classes +1 and +floor(k/2) of each k are summed, each once;
         # -1 and -floor(k/2) are read as their conjugates, so no class is
@@ -342,9 +451,10 @@ class TestSweeps:
         assert not [(k, e) for k, e in classes if (k, -e % k) in classes and 2 * e % k]
 
     def test_float_kernel_is_conjugate_symmetric(self):
-        # The premise of the sweep's conjugate read: the table at -e equals the
-        # conjugate of the table at +e, entry by entry, over the sweep's range.
-        # (When 2e = k, -e and e name one class, summed at one representative.)
+        # The sweep's conjugate read is the kernel's own: the table at -e is
+        # the conjugate of the table at +e, entry by entry, over the sweep's
+        # range, because the kernel reads a class past k/2 as the conjugate
+        # of k - e.  (When 2e = k, -e and e name one class, summed as it is.)
         for k in range(2, 513):
             for e in (1, k // 2):
                 if 2 * e == k:
@@ -510,6 +620,17 @@ class TestGatesCanFail:
         assert not sweep.ok
         if perturbation == "drop-a0-term":
             assert len(sweep.failures) == sweep.cases
+        assert all(r["detail"].startswith("abs=") for r in sweep.failures)
+
+    @pytest.mark.parametrize("perturbation", sorted(PERTURBED_BINOMIALS))
+    def test_prop1_float_bound_fails_the_sweep_on_its_own(self, monkeypatch, perturbation):
+        # With the tolerance rule passing every residual, E alone still fails
+        # each perturbed sweep.
+        monkeypatch.setattr(floating, "binomial", PERTURBED_BINOMIALS[perturbation])
+        monkeypatch.setattr(floating, "float_tolerance_ok", lambda res, p, k, rel_tol=1e-8: True)
+        sweep = run_prop1_float(4, 8)
+        assert sweep.cases == 72
+        assert not sweep.ok
         assert all(r["detail"].startswith("abs=") for r in sweep.failures)
 
     def test_prop1_float_fails_at_its_cap(self, monkeypatch):
